@@ -145,22 +145,24 @@ def bench_batched_suite(reps: int) -> dict:
 
     Sweeps every application's strong-scaling curve on both clusters —
     the same points the figure suite prices — once through the scalar
-    ``AnalyticBackend`` per-point loop (forced via
-    ``REPRO_SCALAR_ANALYTIC``, the PR-4 path: every consultation
-    re-prices every point) and through the vectorized
+    ``AnalyticBackend.run`` per point (every consultation re-prices
+    every point) and through the vectorized
     :class:`~repro.ir.batch.BatchAnalyticBackend` tape path, asserting
     the results are identical.  The batched path is reported twice:
     cold (caches dropped — tape compile + vector evaluation) and
     steady-state (content-hash memo warm — the regime the figure suite
     runs in, since its experiments repeatedly consult the same sweeps).
     """
-    from repro.apps import ALL_APPS, get_app
+    from repro.apps import ALL_APPS, StepTiming, get_app
+    from repro.ir import AnalyticBackend
     from repro.ir.batch import clear_caches
     from repro.machine import cte_arm, marenostrum4
+    from repro.util.errors import OutOfMemoryError
 
     clusters = [cte_arm(192), marenostrum4(192)]
     nodes = [1, 2, 4, 8, 12, 16, 24, 32, 48, 64, 96, 128]
     apps = [get_app(name) for name in sorted(ALL_APPS)]
+    engine = AnalyticBackend()
 
     def sweep() -> list:
         out = []
@@ -169,12 +171,28 @@ def bench_batched_suite(reps: int) -> dict:
                 out.append(app.sweep_timings(cluster, nodes))
         return out
 
+    def scalar_sweep(app, cluster) -> dict:
+        out: dict = {}
+        binary = app.build(cluster)
+        for n in nodes:
+            try:
+                app.check_feasible(cluster, n)
+            except OutOfMemoryError:
+                out[n] = None
+                continue
+            mapping = app.mapping(cluster, n)
+            r = engine.run(app.program(mapping, steps=1), cluster, n,
+                           mapping=mapping, binary=binary,
+                           check_memory=False)
+            out[n] = StepTiming(
+                cluster.name, n, dict(r.phase_seconds),
+                dict(r.phase_compute), dict(r.phase_comm),
+                dict(r.phase_flops_time), dict(r.phase_bytes_time))
+        return out
+
     def run_scalar() -> list:
-        os.environ["REPRO_SCALAR_ANALYTIC"] = "1"
-        try:
-            return sweep()
-        finally:
-            del os.environ["REPRO_SCALAR_ANALYTIC"]
+        return [scalar_sweep(app, cluster)
+                for app in apps for cluster in clusters]
 
     def run_cold() -> list:
         clear_caches()

@@ -128,22 +128,38 @@ EOF
     fi
     echo "== batched-vs-scalar differential smoke =="
     if ! PYTHONPATH=src python - <<'EOF'
-import os
-from repro.apps import ALL_APPS, get_app
+from repro.apps import ALL_APPS, StepTiming, get_app
+from repro.ir import AnalyticBackend
 from repro.machine import cte_arm, marenostrum4
+from repro.util.errors import OutOfMemoryError
 
 clusters = [cte_arm(192), marenostrum4(192)]
 nodes = [32, 64, 128]
+engine = AnalyticBackend()
+
+
+def scalar_sweep(app, cluster):
+    """The scalar walk, one AnalyticBackend.run per sweep point."""
+    out = {}
+    binary = app.build(cluster)
+    for n in nodes:
+        try:
+            app.check_feasible(cluster, n)
+        except OutOfMemoryError:
+            out[n] = None
+            continue
+        mapping = app.mapping(cluster, n)
+        r = engine.run(app.program(mapping, steps=1), cluster, n,
+                       mapping=mapping, binary=binary, check_memory=False)
+        out[n] = StepTiming(cluster.name, n, dict(r.phase_seconds))
+    return out
+
+
 checks = 0
 for name in sorted(ALL_APPS):
     for cluster in clusters:
-        app = get_app(name)
-        batched = app.sweep_timings(cluster, nodes)
-        os.environ["REPRO_SCALAR_ANALYTIC"] = "1"
-        try:
-            scalar = get_app(name).sweep_timings(cluster, nodes)
-        finally:
-            del os.environ["REPRO_SCALAR_ANALYTIC"]
+        batched = get_app(name).sweep_timings(cluster, nodes)
+        scalar = scalar_sweep(get_app(name), cluster)
         assert set(batched) == set(scalar)
         for n in batched:
             b, s = batched[n], scalar[n]

@@ -23,7 +23,6 @@ Section V (which compilers were tried, how they failed).
 from __future__ import annotations
 
 import abc
-import os
 from dataclasses import dataclass, field
 
 from repro.ir.backend import Backend, default_backend_name, get_backend
@@ -118,10 +117,6 @@ def _resolve_backend(backend: str | Backend | None) -> Backend:
     return get_backend(backend)
 
 
-#: set to any non-empty value to force the scalar analytic walk at the
-#: app-model call sites (differential tests, benchmarks).
-_SCALAR_ENV = "REPRO_SCALAR_ANALYTIC"
-
 #: sweep-level result memo for the batched-analytic default path.  Keyed
 #: on everything the evaluation is a pure function of: the app class and
 #: instance state, the declared model attributes, a content fingerprint
@@ -155,10 +150,8 @@ def _batched_engine(engine: Backend, network: NetworkModel | None):
     Plain ``AnalyticBackend`` requests upgrade to the shared
     :class:`~repro.ir.batch.BatchAnalyticBackend` (bit-for-bit identical,
     memoized per evaluation point) unless an explicit ``network`` override
-    or ``$REPRO_SCALAR_ANALYTIC`` opts out; subclasses are left alone.
+    opts out; subclasses are left alone.
     """
-    if os.environ.get(_SCALAR_ENV):
-        return None
     from repro.ir.analytic import AnalyticBackend
     from repro.ir.batch import BatchAnalyticBackend, shared_batch_backend
 

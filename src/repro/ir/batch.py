@@ -31,9 +31,8 @@ the resilience campaign's analytic degradation estimates.
 
 Caching layers (all process-local, cleared by :func:`clear_caches`):
 tape per Program, network per (cluster, n_nodes), binary per program
-identity, a result memo keyed by a content hash of (tape structure +
-numeric columns + cluster + mapping + binary + overrides), and a
-batch-level cache keyed by the hash of a whole (tape, point-matrix) pair.
+identity, and a result memo keyed by a content hash of (tape structure +
+numeric columns + cluster + mapping + binary + overrides + pricing model).
 
 Million-point scale (ISSUE 10) adds two streaming entry points on top of
 ``run_batch``:
@@ -46,13 +45,16 @@ Million-point scale (ISSUE 10) adds two streaming entry points on top of
   to ``run_batch`` for any chunk size and worker count.
 * :meth:`BatchAnalyticBackend.run_override_columns` — the tuner's fast
   path: one prepared job plus structure-of-arrays override columns.  The
-  per-tape constants (primitive comm times, kernel rates, phase walk) are
-  computed once and broadcast against the override vectors, never
-  materializing ``(n_points, n_rows)`` matrices; each yielded
-  :class:`ColumnChunk` carries per-point elapsed/phase arrays.  The lane
-  arithmetic mirrors :func:`_evaluate` expression for expression, so the
-  differential tests hold it bit-identical to ``run_batch`` over jobs
-  with equivalent scalar ``overrides``.
+  job's tape is priced once, as a single lane that broadcasts against
+  the override vectors, never materializing ``(n_points, n_rows)``
+  matrices; each yielded :class:`ColumnChunk` carries per-point
+  elapsed/phase arrays.
+
+Both entry points price through ONE kernel, :func:`_evaluate`; only the
+source of the override knob vectors differs (the jobs' ``overrides``, or
+the columns).  The differential tests hold every column lane
+bit-identical to ``run_batch`` over the job with the equivalent scalar
+``overrides``, and ``run_batch`` bit-identical to the scalar walk.
 """
 
 from __future__ import annotations
@@ -117,14 +119,16 @@ DEFAULT_STREAM_BUDGET = 64 << 20
 
 
 def validate_overrides(
-    overrides: "dict[str, float] | None",
-) -> dict[str, float]:
-    """Validate override keys against :data:`OVERRIDE_KEYS` and return a
-    plain (possibly empty) dict.
+    overrides: "dict[str, Any] | None",
+) -> dict[str, Any]:
+    """Validate override keys against :data:`OVERRIDE_KEYS` and values as
+    finite numbers > 0; return a plain (possibly empty) dict.
 
-    This is the single validation seam shared by :meth:`_prepare`, the
-    column-stream fast path and the capacity service, so the error always
-    names both the offending keys and the sorted set of allowed ones.
+    A value is a scalar (a job's override) or a 1-D array (an override
+    column, checked lane by lane).  This is the single validation seam
+    shared by :meth:`_prepare`, the column-stream fast path and the
+    capacity service, so the error always names both the offending keys
+    and the sorted set of allowed ones.
     """
     out = dict(overrides) if overrides else {}
     bad = set(out) - OVERRIDE_KEYS
@@ -133,6 +137,16 @@ def validate_overrides(
             f"unknown override(s) {sorted(bad)}; "
             f"choose from {sorted(OVERRIDE_KEYS)}"
         )
+    for key in sorted(out):
+        try:
+            values = np.asarray(out[key], dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            values = np.asarray(math.nan)
+        # NaN fails both comparisons
+        if values.size and not (0.0 < values.min()
+                                and values.max() < math.inf):
+            raise ConfigurationError(
+                f"override {key!r} must be a finite number > 0")
     return out
 
 # row kind codes (structural)
@@ -490,9 +504,7 @@ _NETWORKS: dict[tuple[bytes, int], NetworkModel] = {}
 _RANK_BW: dict[tuple[bytes, int, int], float] = {}
 _BINARIES: dict[tuple, Binary] = {}
 _RESULT_MEMO: dict[bytes, tuple] = {}
-_BATCH_CACHE: dict[bytes, list[tuple]] = {}
 _MEMO_MAX = 65536
-_BATCH_MAX = 256
 
 
 def clear_caches() -> None:
@@ -503,7 +515,6 @@ def clear_caches() -> None:
     _RANK_BW.clear()
     _BINARIES.clear()
     _RESULT_MEMO.clear()
-    _BATCH_CACHE.clear()
     _TAPES.clear()
     import sys
 
@@ -609,7 +620,8 @@ class _JobCtx:
 
     def __init__(self, job: "BatchJob", tape: Tape, mapping: RankMapping,
                  binary: Binary | None, network: NetworkModel,
-                 digest: bytes, overrides: tuple, model: PricingModel,
+                 digest: bytes, overrides: dict[str, float],
+                 model: PricingModel,
                  pricing_prep: float) -> None:
         self.job = job
         self.tape = tape
@@ -777,16 +789,16 @@ class BatchAnalyticBackend(Backend):
         columns — the tuner's fast path.
 
         ``columns`` maps :data:`OVERRIDE_KEYS` names to equal-length 1-D
-        float arrays; point ``i`` is ``job`` evaluated under scalar
-        overrides ``{k: columns[k][i]}``.  The tape constants (primitive
-        network times, kernel rates, the phase walk) are resolved once
-        and broadcast against the override vectors — no
+        float arrays of finite values > 0; point ``i`` is ``job``
+        evaluated under scalar overrides ``{k: columns[k][i]}``.  Each
+        chunk is one :func:`_evaluate` call over the job's single
+        context with the column slices as knobs: the tape constants
+        (primitive network times, kernel rates, the phase walk) are
+        resolved once and broadcast against the override vectors — no
         ``(points, n_rows)`` stacking, no per-point ``_prepare`` — which
         is where the order-of-magnitude throughput over chunk-serial
-        ``run_batch`` comes from.  Lane arithmetic mirrors
-        :func:`_evaluate` expression for expression, so each lane is
-        bit-identical to the equivalent scalar-overrides ``run_batch``
-        job (differential-tested).
+        ``run_batch`` comes from.  Each lane is bit-identical to the
+        equivalent scalar-overrides ``run_batch`` job (differential-tested).
 
         Yields :class:`ColumnChunk`\\ s of at most ``chunk_points`` points
         (default: :func:`stream_chunk_points` with ``columns=True`` under
@@ -807,7 +819,7 @@ class BatchAnalyticBackend(Backend):
                     f"{arr.shape}"
                 )
             cols[key] = arr
-        validate_overrides({key: 1.0 for key in cols})
+        validate_overrides(cols)
         if not cols:
             raise ConfigurationError("need at least one override column")
         lengths = {arr.shape[0] for arr in cols.values()}
@@ -830,7 +842,8 @@ class BatchAnalyticBackend(Backend):
         for lo in range(0, n_points, chunk_points):
             hi = min(lo + chunk_points, n_points)
             knobs = {key: arr[lo:hi] for key, arr in cols.items()}
-            yield _evaluate_columns(ctx, knobs, hi - lo, lo)
+            yield _column_chunk(ctx.tape, _evaluate([ctx], knobs),
+                                hi - lo, lo)
 
     # -- prepare -------------------------------------------------------------
 
@@ -885,42 +898,27 @@ class BatchAnalyticBackend(Backend):
 
     def _payloads(self, ctxs: list[_JobCtx]) -> list[tuple]:
         payloads: list[tuple | None] = [None] * len(ctxs)
-        batch_key = None
-        if len(ctxs) > 1 and all(c.digest is not None for c in ctxs):
-            h = hashlib.sha256()
-            for c in ctxs:
-                h.update(c.digest)
-            batch_key = h.digest()
-            hit = _BATCH_CACHE.get(batch_key)
-            if hit is not None:
-                return list(hit)
-        missing: list[int] = []
+        groups: dict[tuple, list[int]] = {}
         for i, ctx in enumerate(ctxs):
             memo = (_RESULT_MEMO.get(ctx.digest)
                     if ctx.digest is not None else None)
             if memo is not None:
                 payloads[i] = memo
             else:
-                missing.append(i)
-        if missing:
-            groups: dict[tuple, list[int]] = {}
-            for i in missing:
-                key = (ctxs[i].tape.structure, ctxs[i].model.identity())
+                key = (ctx.tape.structure, ctx.model.identity())
                 groups.setdefault(key, []).append(i)
-            if len(_RESULT_MEMO) > _MEMO_MAX:
-                _RESULT_MEMO.clear()
-            for indices in groups.values():
-                for i, payload in zip(
-                        indices, _evaluate([ctxs[i] for i in indices])):
-                    payloads[i] = payload
-                    if ctxs[i].digest is not None:
-                        _RESULT_MEMO[ctxs[i].digest] = payload
+        if groups and len(_RESULT_MEMO) > _MEMO_MAX:
+            _RESULT_MEMO.clear()
+        for indices in groups.values():
+            group = [ctxs[i] for i in indices]
+            lanes = _evaluate(group)
+            for i, payload in zip(indices,
+                                  _job_payloads(group[0].tape, lanes)):
+                payloads[i] = payload
+                if ctxs[i].digest is not None:
+                    _RESULT_MEMO[ctxs[i].digest] = payload
         done = [p for p in payloads if p is not None]
         assert len(done) == len(ctxs)
-        if batch_key is not None:
-            if len(_BATCH_CACHE) > _BATCH_MAX:
-                _BATCH_CACHE.clear()
-            _BATCH_CACHE[batch_key] = list(done)
         return done
 
     # -- assembly ------------------------------------------------------------
@@ -945,27 +943,50 @@ class BatchAnalyticBackend(Backend):
         return result
 
 
-def _evaluate(ctxs: list[_JobCtx]) -> list[tuple]:
-    """Vectorized pricing of one structure group.
+def _evaluate(ctxs: list[_JobCtx],
+              knobs: "dict[str, np.ndarray] | None" = None) -> tuple:
+    """Vectorized pricing of one structure group — the one cost kernel.
+
+    ``run_batch`` passes the group's contexts and no ``knobs``: each
+    override knob is read from the jobs' ``overrides``, one lane per job.
+    ``run_override_columns`` passes ONE context and its ``(k,)`` override
+    columns; the context's ``(1,)``-shaped quantities broadcast against
+    them, so the lanes come out ``k`` long (or ``(1,)`` where no knob
+    touches a quantity — :func:`_column_chunk` widens those).
 
     Replicates ``AnalyticBackend.run`` exactly: scalar per-job quantities
     (aggregate bandwidth/rates, ``ceil(log2 p)``) are computed with the
     same Python arithmetic, point-to-point primitives go through the same
     ``NetworkModel`` calls, and the per-row work is numpy elementwise math
     over the point axis in the scalar backend's accumulation order.
+
+    Bit-identity of the two call shapes: ``k`` contexts that differ only
+    in their scalar overrides stack ``k`` identical copies of every tape
+    column, and IEEE-754 elementwise ops on equal inputs give equal
+    outputs, so broadcasting one context's ``(1,)`` row against the ``k``
+    override lanes reproduces every lane bit for bit.
+    ``tests/test_ir_batch_stream.py`` enforces the identity
+    differentially against ``run_batch`` over every app, both clusters
+    and random programs.
+
+    Returns ``(p, elapsed, ph_sec, ph_comp, ph_comm, ph_tf, ph_tb)``: the
+    per-lane rank counts and elapsed seconds, then five per-phase-name
+    lists of lane arrays (seconds, compute, comm, flops-time, bytes-time).
     """
     tape = ctxs[0].tape
     n = len(ctxs)
-    n_rows = tape.n_rows
 
     # stacked numeric columns: (n_points, n_rows)
     def stack(col: str) -> np.ndarray:
+        if n == 1:
+            return tape.cols[col][np.newaxis]
         return np.stack([c.tape.cols[col] for c in ctxs])
 
     F, B, S = stack("flops"), stack("bytes"), stack("seconds")
     IMB, RATE, CNT = stack("imbalance"), stack("rate"), stack("count")
     SZ = stack("size")
-    MULT = np.stack([c.tape.occ_mult for c in ctxs])  # (n_points, n_occ)
+    MULT = (tape.occ_mult[np.newaxis] if n == 1  # (n_points, n_occ)
+            else np.stack([c.tape.occ_mult for c in ctxs]))
 
     # pricing model (one per structure group — the group key includes the
     # model identity) and its extra tape columns / per-job prepare scalars
@@ -993,17 +1014,19 @@ def _evaluate(ctxs: list[_JobCtx]) -> list[tuple]:
     # with Python arithmetic; replicate per job for bit-identity.
     agg_bw = np.asarray([m.n_ranks * _rank_bw(m) for m in mappings])
 
-    # -- overrides (all-ones knobs are skipped to keep the default path
-    #    literally the scalar arithmetic) ------------------------------------
-    def knob(name: str) -> np.ndarray | None:
-        vals = np.asarray([c.overrides.get(name, 1.0) for c in ctxs])
-        return vals if np.any(vals != 1.0) else None
-
-    compute_scale = knob("compute_scale")
-    comm_scale = knob("comm_scale")
-    serial_scale = knob("serial_scale")
-    bandwidth_scale = knob("bandwidth_scale")
-    rate_scale = knob("rate_scale")
+    # -- overrides: a knob no job (or column) sets is skipped, so the
+    #    default path is literally the scalar arithmetic; a knob of ones
+    #    multiplies or divides by exactly 1.0, an IEEE identity ------------
+    if knobs is None:
+        knobs = {
+            name: np.asarray([c.overrides.get(name, 1.0) for c in ctxs])
+            for name in set().union(*(c.overrides for c in ctxs))
+        }
+    compute_scale = knobs.get("compute_scale")
+    comm_scale = knobs.get("comm_scale")
+    serial_scale = knobs.get("serial_scale")
+    bandwidth_scale = knobs.get("bandwidth_scale")
+    rate_scale = knobs.get("rate_scale")
     if bandwidth_scale is not None:
         agg_bw = agg_bw * bandwidth_scale
 
@@ -1019,54 +1042,39 @@ def _evaluate(ctxs: list[_JobCtx]) -> list[tuple]:
                 "kernel class or an explicit rate_per_core"
             )
 
-    # lazily-filled aggregate kernel rates per job (scalar resolves a rate
-    # only for ops with flops > 0, so unused lanes stay placeholder 1.0
-    # and never trigger toolchain/rate validation the scalar walk skips)
-    kernel_agg: dict[Any, np.ndarray] = {}
+    # aggregate kernel rates per (job, kernel), resolved lazily: the scalar
+    # walk resolves a rate only for ops with flops > 0, so lanes without
+    # flops keep the placeholder 1.0 and never trigger the toolchain/rate
+    # validation the scalar walk skips
+    kernel_agg: dict[tuple[int, Any], float] = {}
 
-    def agg_rate_for_kernel(kernel: Any, needed: np.ndarray) -> np.ndarray:
-        arr = kernel_agg.get(kernel)
-        if arr is None:
-            arr = np.full(n, np.nan)
-            kernel_agg[kernel] = arr
-        for j in np.nonzero(needed & np.isnan(arr))[0]:
+    def agg_rate_for_kernel(j: int, kernel: Any) -> float:
+        agg = kernel_agg.get((j, kernel))
+        if agg is None:
             rate = binaries[j].sustained_flops(cores[j], kernel)
-            arr[j] = mappings[j].n_ranks * mappings[j].rank_compute_rate(
+            agg = mappings[j].n_ranks * mappings[j].rank_compute_rate(
                 0, rate)
-        return np.where(np.isnan(arr), 1.0, arr)
+            kernel_agg[j, kernel] = agg
+        return agg
 
     # point-to-point primitives through the real network model, memoized
-    # per (network, size) for the duration of this batch
+    # per (network, destination node, size) for the duration of this
+    # batch; destination node 0 is rank 0's own node (shared memory)
     pcache: dict[tuple, float] = {}
 
-    def prim_typ(j: int, size: int) -> float:
-        mn = int(m_nodes[j])
-        key = (id(networks[j]), 0, mn, size)
+    def prim(j: int, dst: int, size: int) -> float:
+        key = (id(networks[j]), dst, size)
         hit = pcache.get(key)
         if hit is None:
-            if mn == 1:
-                hit = networks[j].link.p2p_time(max(1, size), 0)
-            else:
-                probe = min(max(1, mn // 2), mn - 1)
-                hit = networks[j].p2p_time(0, probe, max(1, size))
+            net = networks[j]
+            hit = (net.link.p2p_time(max(1, size), 0) if dst == 0
+                   else net.p2p_time(0, dst, max(1, size)))
             pcache[key] = hit
         return hit
 
-    def prim_shm(j: int, size: int) -> float:
-        key = (id(networks[j]), 1, size)
-        hit = pcache.get(key)
-        if hit is None:
-            hit = networks[j].link.p2p_time(max(1, size), 0)
-            pcache[key] = hit
-        return hit
-
-    def prim_off(j: int, size: int) -> float:
-        key = (id(networks[j]), 2, size)
-        hit = pcache.get(key)
-        if hit is None:
-            hit = networks[j].p2p_time(0, 1, max(1, size))
-            pcache[key] = hit
-        return hit
+    # the typical collective partner's node: mid-machine, or rank 0's own
+    probe = [0 if mn == 1 else min(max(1, mn // 2), mn - 1)
+             for mn in m_nodes.tolist()]
 
     zeros = np.zeros(n)
     one_node = m_nodes == 1
@@ -1080,16 +1088,17 @@ def _evaluate(ctxs: list[_JobCtx]) -> list[tuple]:
         if kind == "halo":
             if neighbors <= 0:
                 return zeros
-            shm = np.asarray([prim_shm(j, int(sizes[j])) for j in range(n)])
+            shm = np.asarray([prim(j, 0, int(sizes[j])) for j in range(n)])
             t_off = np.asarray([
-                0.0 if one_node[j] else prim_off(j, int(sizes[j]))
+                0.0 if one_node[j] else prim(j, 1, int(sizes[j]))
                 for j in range(n)
             ])
             off = neighbors * off_fraction
             on = neighbors - off
             return np.where(one_node, neighbors * shm,
                             off * t_off + on * shm)
-        typ = np.asarray([prim_typ(j, int(sizes[j])) for j in range(n)])
+        typ = np.asarray([prim(j, probe[j], int(sizes[j]))
+                          for j in range(n)])
         if kind in ("allreduce", "bcast", "reduce"):
             return np.where(p_le1, 0.0, clog * typ)
         if kind in ("allgather", "gather"):
@@ -1101,20 +1110,22 @@ def _evaluate(ctxs: list[_JobCtx]) -> list[tuple]:
         # p2p / ring
         return typ
 
-    # -- the walk, occurrence by occurrence, in scalar op order --------------
+    # -- the walk, occurrence by occurrence, in scalar op order.  Sums
+    #    start at the scalar 0.0 (as in the scalar walk); the first lane
+    #    array added, at the latest ``mult``, makes them lane arrays -----
     n_names = len(tape.names)
-    ph_sec = [np.zeros(n) for _ in range(n_names)]
-    ph_comp = [np.zeros(n) for _ in range(n_names)]
-    ph_comm = [np.zeros(n) for _ in range(n_names)]
-    ph_tf = [np.zeros(n) for _ in range(n_names)]
-    ph_tb = [np.zeros(n) for _ in range(n_names)]
+    ph_sec: list[Any] = [0.0] * n_names
+    ph_comp: list[Any] = [0.0] * n_names
+    ph_comm: list[Any] = [0.0] * n_names
+    ph_tf: list[Any] = [0.0] * n_names
+    ph_tb: list[Any] = [0.0] * n_names
 
     for occ, name_idx in enumerate(tape.occ_names):
-        t_compute = np.zeros(n)
-        t_comm = np.zeros(n)
-        serial = np.zeros(n)
-        tf_sum = np.zeros(n)
-        tb_sum = np.zeros(n)
+        t_compute: Any = 0.0
+        t_comm: Any = 0.0
+        serial: Any = 0.0
+        tf_sum: Any = 0.0
+        tb_sum: Any = 0.0
         for r in tape.occ_rows[occ]:
             _, kind, kernel, comm_kind, neighbors, has_rate = tape.rows[r]
             if kind == _K_SECONDS:
@@ -1125,7 +1136,7 @@ def _evaluate(ctxs: list[_JobCtx]) -> list[tuple]:
             elif kind == _K_COMPUTE:
                 f = F[:, r]
                 nonzero = f != 0.0
-                if not np.any(nonzero):
+                if not nonzero.any():
                     tf = zeros
                 elif has_rate:
                     agg = np.asarray([
@@ -1136,7 +1147,10 @@ def _evaluate(ctxs: list[_JobCtx]) -> list[tuple]:
                     ])
                     tf = np.where(nonzero, f / agg, 0.0)
                 else:
-                    agg = agg_rate_for_kernel(kernel, nonzero)
+                    agg = np.asarray([
+                        agg_rate_for_kernel(j, kernel) if nonzero[j] else 1.0
+                        for j in range(n)
+                    ])
                     tf = np.where(nonzero, f / agg, 0.0)
                 if rate_scale is not None:
                     tf = tf / rate_scale
@@ -1167,7 +1181,7 @@ def _evaluate(ctxs: list[_JobCtx]) -> list[tuple]:
                     cost = cost * comm_scale
                 t_comm = t_comm + cost
             else:  # _K_BARRIER
-                typ1 = np.asarray([prim_typ(j, 1) for j in range(n)])
+                typ1 = np.asarray([prim(j, probe[j], 1) for j in range(n)])
                 cost = np.where(p_le1, 0.0, clog * typ1)
                 if comm_scale is not None:
                     cost = cost * comm_scale
@@ -1183,9 +1197,15 @@ def _evaluate(ctxs: list[_JobCtx]) -> list[tuple]:
     elapsed = np.zeros(n)
     for arr in ph_sec:
         elapsed = elapsed + arr
+    return p, elapsed, ph_sec, ph_comp, ph_comm, ph_tf, ph_tb
 
+
+def _job_payloads(tape: Tape, lanes: tuple) -> list[tuple]:
+    """The kernel's lanes as per-job ``run_batch`` payloads."""
+    p, elapsed, ph_sec, ph_comp, ph_comm, ph_tf, ph_tb = lanes
+    n_names = len(tape.names)
     payloads = []
-    for j in range(n):
+    for j in range(len(p)):
         per_phase = tuple(
             (tape.names[i], float(ph_sec[i][j]), float(ph_comp[i][j]),
              float(ph_comm[i][j]), float(ph_tf[i][j]), float(ph_tb[i][j]))
@@ -1195,236 +1215,26 @@ def _evaluate(ctxs: list[_JobCtx]) -> list[tuple]:
     return payloads
 
 
-def _evaluate_columns(ctx: _JobCtx, knobs: dict[str, np.ndarray], k: int,
-                      start: int) -> ColumnChunk:
-    """Price ``k`` override points of ONE prepared job context.
+def _column_chunk(tape: Tape, lanes: tuple, k: int,
+                  start: int) -> ColumnChunk:
+    """The kernel's lanes for one context as a ``k``-point chunk."""
+    p, elapsed, ph_sec, ph_comp, ph_comm, ph_tf, ph_tb = lanes
 
-    Bit-identity argument: :func:`_evaluate` over ``k`` contexts that
-    differ only in their scalar overrides stacks ``k`` identical copies
-    of every tape column and runs elementwise float64 arithmetic over the
-    lanes.  IEEE-754 elementwise ops on equal inputs produce equal
-    outputs, so replacing the stacked per-lane scalars with one Python
-    scalar broadcast against the override vectors reproduces every lane
-    bit for bit — PROVIDED the expression order is mirrored exactly.
-    This function therefore follows :func:`_evaluate` operation for
-    operation: the same knob-skip rule (multiplying/dividing by exactly
-    1.0 is an IEEE identity, so per-chunk skip decisions cannot diverge),
-    ``rate_scale`` division applied even to zero flops-times, the same
-    ``np.where``/``np.maximum`` shapes, integer arithmetic that converts
-    to float64 identically, and the same left-to-right accumulation
-    order.  ``tests/test_ir_batch_stream.py`` enforces the identity
-    differentially against ``run_batch``.
-    """
-    tape = ctx.tape
-    cols = tape.cols
-    mapping = ctx.mapping
-    network = ctx.network
-    binary = ctx.binary
-    core = ctx.job.cluster.node.core_model
-    model = ctx.model
-    prep = ctx.pricing_prep
+    def lane(x: np.ndarray) -> np.ndarray:
+        return x if x.shape[0] == k else np.full(k, x[0])
 
-    def kn(name: str) -> np.ndarray | None:
-        vals = knobs.get(name)
-        if vals is None:
-            return None
-        return vals if np.any(vals != 1.0) else None
-
-    compute_scale = kn("compute_scale")
-    comm_scale = kn("comm_scale")
-    serial_scale = kn("serial_scale")
-    bandwidth_scale = kn("bandwidth_scale")
-    rate_scale = kn("rate_scale")
-
-    p = mapping.n_ranks
-    m_nodes = mapping.n_nodes
-    rpn = mapping.ranks_per_node
-    clog = math.ceil(math.log2(p)) if p > 1 else 0
-    link_bw = network.link.bandwidth
-    agg_bw: Any = p * _rank_bw(mapping)
-    if bandwidth_scale is not None:
-        agg_bw = agg_bw * bandwidth_scale
-
-    for r in tape.toolchain_rows:
-        if cols["flops"][r] > 0:
-            occ = tape.rows[r][0]
-            name = tape.names[tape.occ_names[occ]]
-            raise ConfigurationError(
-                f"compute op in phase {name!r} needs a "
-                "kernel class or an explicit rate_per_core"
-            )
-
-    def data_seconds(r: int, b: Any) -> Any:
-        return model.batch_data_seconds(
-            b, {name: cols[name][r] for name in tape.extra_names},
-            agg_bw, prep)
-
-    kernel_agg: dict[Any, float] = {}
-
-    def agg_rate_for_kernel(kernel: Any) -> float:
-        agg = kernel_agg.get(kernel)
-        if agg is None:
-            rate = binary.sustained_flops(core, kernel)  # type: ignore[union-attr]
-            agg = mapping.n_ranks * mapping.rank_compute_rate(0, rate)
-            kernel_agg[kernel] = agg
-        return agg
-
-    pcache: dict[tuple, float] = {}
-
-    def prim_typ(size: int) -> float:
-        key = (0, size)
-        hit = pcache.get(key)
-        if hit is None:
-            if m_nodes == 1:
-                hit = network.link.p2p_time(max(1, size), 0)
-            else:
-                probe = min(max(1, m_nodes // 2), m_nodes - 1)
-                hit = network.p2p_time(0, probe, max(1, size))
-            pcache[key] = hit
-        return hit
-
-    def prim_shm(size: int) -> float:
-        key = (1, size)
-        hit = pcache.get(key)
-        if hit is None:
-            hit = network.link.p2p_time(max(1, size), 0)
-            pcache[key] = hit
-        return hit
-
-    def prim_off(size: int) -> float:
-        key = (2, size)
-        hit = pcache.get(key)
-        if hit is None:
-            hit = network.p2p_time(0, 1, max(1, size))
-            pcache[key] = hit
-        return hit
-
-    one_node = m_nodes == 1
-    p_le1 = p <= 1
-    off_fraction = min(1.0, 2.0 / math.sqrt(rpn)) if rpn > 1 else 1.0
-
-    def comm_cost(r: int, kind: str, neighbors: int) -> float:
-        size = int(cols["size"][r])
-        if kind == "halo":
-            if neighbors <= 0:
-                return 0.0
-            shm = prim_shm(size)
-            if one_node:
-                return neighbors * shm
-            t_off = prim_off(size)
-            off = neighbors * off_fraction
-            on = neighbors - off
-            return off * t_off + on * shm
-        typ = prim_typ(size)
-        if kind in ("allreduce", "bcast", "reduce"):
-            return 0.0 if p_le1 else clog * typ
-        if kind in ("allgather", "gather"):
-            return 0.0 if p_le1 else (p - 1) * typ
-        if kind == "alltoall":
-            if p_le1:
-                return 0.0
-            rounds = (p - 1) * typ
-            nic = ((p - rpn) * rpn * max(size, 1)) / link_bw
-            return max(rounds, nic)
-        # p2p / ring
-        return typ
-
-    n_names = len(tape.names)
-    ph_sec: list[Any] = [0.0] * n_names
-    ph_comp: list[Any] = [0.0] * n_names
-    ph_comm: list[Any] = [0.0] * n_names
-    ph_tf: list[Any] = [0.0] * n_names
-    ph_tb: list[Any] = [0.0] * n_names
-
-    F, B, S = cols["flops"], cols["bytes"], cols["seconds"]
-    IMB, RATE, CNT = cols["imbalance"], cols["rate"], cols["count"]
-
-    for occ, name_idx in enumerate(tape.occ_names):
-        t_compute: Any = 0.0
-        t_comm: Any = 0.0
-        serial: Any = 0.0
-        tf_sum: Any = 0.0
-        tb_sum: Any = 0.0
-        for r in tape.occ_rows[occ]:
-            _, kind, kernel, comm_kind, neighbors, has_rate = tape.rows[r]
-            if kind == _K_SECONDS:
-                t: Any = S[r] * IMB[r]
-                if compute_scale is not None:
-                    t = t * compute_scale
-                t_compute = t_compute + t
-            elif kind == _K_COMPUTE:
-                f = F[r]
-                if f == 0.0:
-                    tf: Any = 0.0
-                elif has_rate:
-                    agg = mapping.n_ranks * mapping.rank_compute_rate(
-                        0, RATE[r])
-                    tf = f / agg
-                else:
-                    tf = f / agg_rate_for_kernel(kernel)
-                if rate_scale is not None:
-                    tf = tf / rate_scale
-                tb: Any = data_seconds(r, B[r])
-                t = np.maximum(tf, tb) * IMB[r]
-                if compute_scale is not None:
-                    t = t * compute_scale
-                t_compute = t_compute + t
-                tf_sum = tf_sum + tf
-                tb_sum = tb_sum + tb
-            elif kind == _K_MEM:
-                tb = data_seconds(r, B[r])
-                t = tb if compute_scale is None else tb * compute_scale
-                t_compute = t_compute + t
-                tb_sum = tb_sum + tb
-            elif kind == _K_SERIAL:
-                s: Any = S[r]
-                if serial_scale is not None:
-                    s = s * serial_scale
-                serial = serial + s
-            elif kind == _K_COMM:
-                one = comm_cost(r, comm_kind, neighbors)
-                cnt = CNT[r]
-                cost: Any = np.where(cnt <= 0.0, 0.0, cnt * one)
-                if comm_scale is not None:
-                    cost = cost * comm_scale
-                t_comm = t_comm + cost
-            else:  # _K_BARRIER
-                typ1 = prim_typ(1)
-                cost = np.where(p_le1, 0.0, clog * typ1)
-                if comm_scale is not None:
-                    cost = cost * comm_scale
-                t_comm = t_comm + cost
-        total = t_compute + t_comm + serial
-        mult = tape.occ_mult[occ]
-        ph_sec[name_idx] = ph_sec[name_idx] + mult * total
-        ph_comp[name_idx] = ph_comp[name_idx] + mult * t_compute
-        ph_comm[name_idx] = ph_comm[name_idx] + mult * t_comm
-        ph_tf[name_idx] = ph_tf[name_idx] + mult * tf_sum
-        ph_tb[name_idx] = ph_tb[name_idx] + mult * tb_sum
-
-    elapsed: Any = 0.0
-    for arr in ph_sec:
-        elapsed = elapsed + arr
-
-    def lane(x: Any) -> np.ndarray:
-        if np.ndim(x) == 0:
-            return np.full(k, float(x))
-        return np.asarray(x, dtype=np.float64)
+    def by_name(acc: list[np.ndarray]) -> dict[str, np.ndarray]:
+        return {name: lane(arr) for name, arr in zip(tape.names, acc)}
 
     return ColumnChunk(
         start=start,
-        n_ranks=p,
+        n_ranks=int(p[0]),
         elapsed=lane(elapsed),
-        phase_seconds={tape.names[i]: lane(ph_sec[i])
-                       for i in range(n_names)},
-        phase_compute={tape.names[i]: lane(ph_comp[i])
-                       for i in range(n_names)},
-        phase_comm={tape.names[i]: lane(ph_comm[i])
-                    for i in range(n_names)},
-        phase_flops_time={tape.names[i]: lane(ph_tf[i])
-                          for i in range(n_names)},
-        phase_bytes_time={tape.names[i]: lane(ph_tb[i])
-                          for i in range(n_names)},
+        phase_seconds=by_name(ph_sec),
+        phase_compute=by_name(ph_comp),
+        phase_comm=by_name(ph_comm),
+        phase_flops_time=by_name(ph_tf),
+        phase_bytes_time=by_name(ph_tb),
     )
 
 
@@ -1434,7 +1244,6 @@ def _on_new_pricing_model(_model: PricingModel) -> None:
     digests) so the next compile stacks the new columns."""
     _TAPES.clear()
     _RESULT_MEMO.clear()
-    _BATCH_CACHE.clear()
 
 
 on_pricing_registered(_on_new_pricing_model)

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import abc
 
-import networkx as nx
-
 from repro.util.errors import ConfigurationError
 
 
@@ -34,7 +32,7 @@ class Topology(abc.ABC):
 
     @abc.abstractmethod
     def neighbors(self, node: int) -> list[int]:
-        """Directly connected endpoints (for graph export/analysis)."""
+        """Directly connected endpoints."""
 
     @property
     @abc.abstractmethod
@@ -51,12 +49,3 @@ class Topology(abc.ABC):
                 if a != b:
                     total += self.hops(a, b)
         return total / (self.n_nodes * (self.n_nodes - 1))
-
-    def to_networkx(self) -> nx.Graph:
-        """Export the direct-link graph for external analysis."""
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n_nodes))
-        for a in range(self.n_nodes):
-            for b in self.neighbors(a):
-                g.add_edge(a, b)
-        return g

@@ -124,20 +124,19 @@ class Query:
         raw = payload.get("overrides", {})
         if not isinstance(raw, Mapping):
             raise ServiceError(400, "overrides must be an object")
-        try:
-            # shared key validation seam (repro.ir.batch): service and
-            # batch layers report identical sorted allowed-key lists
-            validate_overrides({key: 1.0 for key in raw})
-        except ConfigurationError as exc:
-            raise ServiceError(400, str(exc)) from None
-        overrides: list[tuple[str, float]] = []
         for key in sorted(raw):
             value = raw[key]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ServiceError(400, f"override {key!r} must be a number")
-            if not value > 0:
-                raise ServiceError(400, f"override {key!r} must be positive")
-            overrides.append((key, float(value)))
+        try:
+            # shared validation seam (repro.ir.batch): service and batch
+            # layers report identical sorted allowed-key lists and refuse
+            # the same non-finite or non-positive values
+            overrides = tuple(sorted(
+                (key, float(value))
+                for key, value in validate_overrides(raw).items()))
+        except ConfigurationError as exc:
+            raise ServiceError(400, str(exc)) from None
         client = payload.get("client", "anonymous")
         if not isinstance(client, str) or not client:
             raise ServiceError(400, "client must be a non-empty string")
@@ -153,7 +152,7 @@ class Query:
                 f"{', '.join(sorted(PRICING_MODELS))}")
         return cls(workload=workload.lower(), cluster=cluster.lower(),
                    n_nodes=n_nodes, steps=steps,
-                   overrides=tuple(overrides), client=client,
+                   overrides=overrides, client=client,
                    pricing=pricing)
 
     def to_request(self) -> dict[str, Any]:

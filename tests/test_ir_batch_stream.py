@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.apps import get_app
+from repro.apps import ALL_APPS, get_app
 from repro.ir.batch import (
     DEFAULT_STREAM_BUDGET,
     BatchJob,
@@ -29,8 +31,10 @@ from repro.ir.batch import (
     stream_chunk_points,
     validate_overrides,
 )
-from repro.machine.presets import cte_arm
-from repro.util.errors import ConfigurationError
+from repro.machine.presets import cte_arm, marenostrum4
+from repro.util.errors import ConfigurationError, OutOfMemoryError
+
+from tests.strategies import ir_programs
 
 _ARM = cte_arm(64)
 
@@ -113,41 +117,91 @@ class TestRunBatchStream:
                                           chunk_points=0))
 
 
+def _knob_columns(n_lanes):
+    """All five :data:`OVERRIDE_KEYS` as columns.  The strides differ per
+    key, so lanes mix identity and non-identity values and some 13-lane
+    chunks carry an all-ones column."""
+    vals = (1.0, 0.8, 1.2, 0.65, 1.45)
+    strides = {"comm_scale": 1, "compute_scale": 2, "serial_scale": 3,
+               "bandwidth_scale": 5, "rate_scale": 25}
+    assert set(strides) == OVERRIDE_KEYS
+    return {key: np.asarray([vals[(i // stride) % 5]
+                             for i in range(n_lanes)])
+            for key, stride in strides.items()}
+
+
+def _assert_lanes_match_run_batch(base, n_lanes):
+    """Each override-column lane of ``base`` equals the ``run_batch``
+    result of the same job under that lane's scalar overrides."""
+    backend = shared_batch_backend()
+    columns = _knob_columns(n_lanes)
+    jobs = [
+        BatchJob(base.program, base.cluster, base.n_nodes,
+                 mapping=base.mapping, binary=base.binary,
+                 check_memory=False, pricing=base.pricing,
+                 overrides={key: float(col[i])
+                            for key, col in columns.items()})
+        for i in range(n_lanes)
+    ]
+    direct = backend.run_batch(jobs)
+    clear_caches()
+    chunks = list(backend.run_override_columns(base, columns,
+                                               chunk_points=13))
+    assert sum(len(c) for c in chunks) == n_lanes
+    offset = 0
+    for chunk in chunks:
+        assert chunk.start == offset
+        for lane in range(len(chunk)):
+            result = direct[offset + lane]
+            assert chunk.elapsed[lane] == result.elapsed
+            assert chunk.n_ranks == result.n_ranks
+            assert set(chunk.phase_seconds) == set(result.phase_seconds)
+            for name, sec in result.phase_seconds.items():
+                assert chunk.phase_seconds[name][lane] == sec
+                assert (chunk.phase_compute[name][lane]
+                        == result.phase_compute[name])
+                assert (chunk.phase_comm[name][lane]
+                        == result.phase_comm[name])
+                assert (chunk.phase_flops_time[name][lane]
+                        == result.phase_flops_time[name])
+                assert (chunk.phase_bytes_time[name][lane]
+                        == result.phase_bytes_time[name])
+        offset += len(chunk)
+
+
 class TestRunOverrideColumns:
     @pytest.mark.parametrize("pricing", ["roofline", "ecm"])
     def test_lanes_match_scalar_jobs(self, pricing):
-        backend = shared_batch_backend()
-        jobs = _nemo_jobs(75, pricing=pricing)
-        direct = backend.run_batch(jobs)
-        clear_caches()
-        base = BatchJob(jobs[0].program, _ARM, 16,
-                        mapping=jobs[0].mapping, binary=jobs[0].binary,
-                        check_memory=False, pricing=pricing)
-        columns = {
-            key: np.asarray([job.overrides[key] for job in jobs])
-            for key in ("comm_scale", "bandwidth_scale", "rate_scale")
-        }
-        chunks = list(backend.run_override_columns(base, columns,
-                                                   chunk_points=13))
-        assert sum(len(c) for c in chunks) == len(jobs)
-        offset = 0
-        for chunk in chunks:
-            assert chunk.start == offset
-            for lane in range(len(chunk)):
-                result = direct[offset + lane]
-                assert chunk.elapsed[lane] == result.elapsed
-                assert chunk.n_ranks == result.n_ranks
-                for name, sec in result.phase_seconds.items():
-                    assert chunk.phase_seconds[name][lane] == sec
-                    assert (chunk.phase_compute[name][lane]
-                            == result.phase_compute[name])
-                    assert (chunk.phase_comm[name][lane]
-                            == result.phase_comm[name])
-                    assert (chunk.phase_flops_time[name][lane]
-                            == result.phase_flops_time[name])
-                    assert (chunk.phase_bytes_time[name][lane]
-                            == result.phase_bytes_time[name])
-            offset += len(chunk)
+        """The column path against ``run_batch`` over every app on both
+        clusters (halo, all-reduce, all-to-all, gather and serial rows)
+        and random rich programs (MemOp, Barrier, fixed-seconds compute,
+        explicit-rate compute, loops), at one and several nodes."""
+        checked = 0
+        for cluster in (_ARM, marenostrum4(64)):
+            for name in sorted(ALL_APPS):
+                app = get_app(name)
+                for n_nodes in (1, 16, 32, 64):
+                    try:
+                        app.check_feasible(cluster, n_nodes)
+                    except OutOfMemoryError:
+                        continue
+                    mapping = app.mapping(cluster, n_nodes)
+                    base = BatchJob(app.program(mapping), cluster, n_nodes,
+                                    mapping=mapping,
+                                    binary=app.build(cluster),
+                                    check_memory=False, pricing=pricing)
+                    _assert_lanes_match_run_batch(base, 75)
+                    checked += 1
+        assert checked >= 30  # the rest are memory-infeasible (NP)
+
+        @settings(max_examples=6, deadline=None, derandomize=True)
+        @given(program=ir_programs(rich=True), n_nodes=st.sampled_from([1, 4]))
+        def rich(program, n_nodes):
+            _assert_lanes_match_run_batch(
+                BatchJob(program, _ARM, n_nodes, check_memory=False,
+                         pricing=pricing), 30)
+
+        rich()
 
     def test_all_ones_column_matches_no_overrides(self):
         backend = shared_batch_backend()
@@ -223,6 +277,31 @@ class TestValidateOverrides:
         message = str(err.value)
         assert "['aa_bogus', 'zz_bogus']" in message
         assert f"choose from {sorted(OVERRIDE_KEYS)}" in message
+
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), -float("inf"), 0.0, -1.0, 10 ** 400,
+    ], ids=["nan", "inf", "-inf", "zero", "negative", "huge-int"])
+    def test_rejects_non_finite_and_non_positive_values(self, value):
+        with pytest.raises(ConfigurationError, match="finite number > 0"):
+            validate_overrides({"comm_scale": value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_run_batch_rejects_non_finite(self, value):
+        job = _nemo_jobs(1)[0]
+        job.overrides = {"comm_scale": value}
+        with pytest.raises(ConfigurationError, match="'comm_scale'"):
+            shared_batch_backend().run_batch([job])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_run_override_columns_rejects_non_finite(self, value):
+        job = _nemo_jobs(1)[0]
+        base = BatchJob(job.program, _ARM, 16, mapping=job.mapping,
+                        binary=job.binary, check_memory=False)
+        column = np.ones(8)
+        column[5] = value
+        with pytest.raises(ConfigurationError, match="'rate_scale'"):
+            list(shared_batch_backend().run_override_columns(
+                base, {"comm_scale": np.ones(8), "rate_scale": column}))
 
     def test_accepts_none_and_empty(self):
         assert validate_overrides(None) == {}

@@ -54,12 +54,6 @@ class TestTorus:
         with pytest.raises(ConfigurationError):
             tofu_d(100)
 
-    def test_networkx_export(self):
-        g = TorusTopology((3, 3)).to_networkx()
-        assert g.number_of_nodes() == 9
-        # 2-D torus: every node has degree 4 (radix-3 rings).
-        assert all(d == 4 for _, d in g.degree())
-
     def test_average_hops_positive(self):
         assert 0 < TorusTopology((4, 4)).average_hops() <= 4
 

@@ -124,6 +124,9 @@ class TestQueryValidation:
         {"workload": "nemo", "overrides": {"comm_scale": 0.0}},
         {"workload": "nemo", "client": ""},
         {"workload": "nemo", "surprise": 1},
+        {"workload": "nemo", "overrides": {"compute_scale": float("inf")}},
+        {"workload": "nemo", "overrides": {"comm_scale": float("nan")}},
+        {"workload": "nemo", "overrides": {"serial_scale": 10 ** 400}},
     ])
     def test_malformed_rejected_with_400(self, payload):
         with pytest.raises(ServiceError) as err:
@@ -520,6 +523,26 @@ class TestHTTP:
         status, body = self._post(server, b"{not json")
         assert status == 400
         assert "JSON" in body["error"]
+
+    @pytest.mark.parametrize("literal", ["Infinity", "1e309", "NaN"])
+    def test_non_finite_override_is_400_strict_json(self, server, literal):
+        import urllib.error
+        import urllib.request
+
+        def strict(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        data = ('{"workload": "nemo", "n_nodes": 16, '
+                f'"overrides": {{"compute_scale": {literal}}}}}').encode()
+        request = urllib.request.Request(
+            server.url + "/v1/price", data=data,
+            headers={"Content-Type": "application/json"}, method="POST")
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request, timeout=10)
+        assert err.value.code == 400
+        body = json.loads(err.value.read(), parse_constant=strict)
+        assert "compute_scale" in body["error"]
+        assert "finite" in body["error"]
 
     def test_client_header_feeds_quota(self):
         from repro.service import ServiceServer
