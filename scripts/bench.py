@@ -5,7 +5,6 @@ Covers the layers the perf work targets:
 
 * DES engine event throughput (events/second);
 * a 64-rank allreduce campaign, simulated vs analytic fast collectives;
-* the IR optimizer passes (op-count shrink and wall cost);
 * batched tape evaluation vs the scalar analytic per-point loop over
   every app scaling sweep (points/second each, asserted identical);
 * the full figure/table experiment suite — serial, with ``--jobs N``
@@ -219,46 +218,6 @@ def bench_batched_suite(reps: int) -> dict:
         "batched_points_per_second": n_points / warm_wall,
         "cold_speedup": scalar_wall / cold_wall,
         "speedup": scalar_wall / warm_wall,
-    }
-
-
-def bench_ir_optimize(reps: int) -> dict:
-    """Op-count reduction and wall cost of the IR optimizer passes, on
-    the application programs plus a synthetic loop-heavy program."""
-    from repro.apps import ALL_APPS, get_app
-    from repro.ir import ComputeOp, Loop, MemOp, Phase, Program, SerialOp
-    from repro.ir.optimize import op_count, optimize_program
-    from repro.machine import cte_arm
-
-    cluster = cte_arm(192)
-    programs = []
-    for name in sorted(ALL_APPS):
-        app = get_app(name)
-        programs.append(app.program(app.mapping(cluster, 16)))
-    programs.append(Program(
-        name="loopy",
-        body=(Loop(1000, (Phase("step", (
-            SerialOp(1e-6), SerialOp(2e-6),
-            MemOp(4096), MemOp(4096),
-            ComputeOp(seconds=1e-5),
-        )),)),),
-        steps=1000,
-    ))
-
-    per_program = []
-    for program in programs:
-        optimized = optimize_program(program)
-        per_program.append({
-            "program": program.name,
-            "ops_before": op_count(program),
-            "ops_after": op_count(optimized),
-        })
-    wall = best_of(
-        lambda: [optimize_program(p) for p in programs], reps * 5
-    )
-    return {
-        "programs": per_program,
-        "optimize_all_seconds": wall,
     }
 
 
@@ -580,7 +539,6 @@ def main(argv: list[str] | None = None) -> int:
         "des_engine": bench_des_engine(reps, events),
         "allreduce_64_ranks": bench_allreduce(reps, iterations),
         "ir_lowering": bench_ir_lowering(reps),
-        "ir_optimize": bench_ir_optimize(reps),
         "batched_figure_suite": bench_batched_suite(max(1, reps // 2)),
         "des_sharded": bench_des_sharded(args.quick),
         "ecm_pricing": bench_ecm_pricing(args.quick),
@@ -601,13 +559,6 @@ def main(argv: list[str] | None = None) -> int:
           f"analytic run {ir['analytic_run_seconds'] * 1e6:,.1f} us, "
           f"DES lowering {ir['lower_seconds'] * 1e6:,.1f} us "
           f"({ir['program']}, {ir['n_ranks']} ranks)")
-    opt = report["ir_optimize"]
-    shrunk = max(opt["programs"],
-                 key=lambda p: p["ops_before"] - p["ops_after"])
-    print(f"IR optimize:  {len(opt['programs'])} programs in "
-          f"{opt['optimize_all_seconds'] * 1e3:,.2f} ms (best shrink "
-          f"{shrunk['program']}: {shrunk['ops_before']} -> "
-          f"{shrunk['ops_after']} ops)")
     bat = report["batched_figure_suite"]
     print(f"batched eval: {bat['points']} points, scalar "
           f"{bat['scalar_seconds']:.3f}s "

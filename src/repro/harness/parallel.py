@@ -71,23 +71,19 @@ def cache_key(exp_id: str, backend: str = "analytic",
 
     The execution backend, the pricing model, the installed backend
     options (DES shard count & friends —
-    ``repro.ir.backend_options_tag``), the IR optimizer pass version, and
-    the static analyzer version are part of the content hash, so a cached
-    analytic result is never served for a DES (or fastcoll) request, a
-    roofline result never for an ECM one, a 1-shard result never for an
-    8-shard one, and a pass-semantics or analyzer-behavior change
-    invalidates results even if it ships without a source diff (e.g. a
-    data-only toggle) — the pass-soundness certificate is only as good as
-    the analyzer that issued it.
+    ``repro.ir.backend_options_tag``) and the static analyzer version are
+    part of the content hash, so a cached analytic result is never served
+    for a DES (or fastcoll) request, a roofline result never for an ECM
+    one, a 1-shard result never for an 8-shard one, and an
+    analyzer-behavior change invalidates results even if it ships without
+    a source diff (e.g. a data-only toggle).
     """
     from repro.ir import backend_options_tag
     from repro.ir.analyze import ANALYZE_VERSION
-    from repro.ir.optimize import PASS_VERSION
 
     digest = hashlib.sha256(
         f"{exp_id}\n{backend}\npricing[{pricing}]\n"
         f"opts[{backend_options_tag()}]\n"
-        f"passes-v{PASS_VERSION}\n"
         f"analysis-v{ANALYZE_VERSION}\n"
         f"{source_fingerprint()}".encode()
     ).hexdigest()

@@ -15,8 +15,7 @@ execution backends:
   numpy tape (:func:`compile_tape`) and evaluated for a whole *vector* of
   (cluster, n_nodes, overrides) points at once; bit-for-bit identical to
   :class:`AnalyticBackend` per point, orders of magnitude faster per
-  sweep.  The optimizer passes of :mod:`repro.ir.optimize` shrink
-  programs before taping or DES lowering.
+  sweep.
 * :class:`FastCollBackend` — the DES with the closed-form per-rank
   collective recurrences of :mod:`repro.simmpi.fastcoll` substituted for
   the simulated message exchange.  Exact for bulk-synchronous programs.
@@ -30,8 +29,8 @@ Vocabulary: :class:`ComputeOp`, :class:`MemOp`, :class:`SerialOp`,
 by :class:`Loop` nodes of a :class:`Program`.  See ``docs/IR.md``.
 
 The static analyzer (:mod:`repro.ir.analyze`, ``repro-lab analyze``)
-checks the same op streams — communication safety, resource bounds,
-optimizer-pass soundness — without executing any backend; see
+checks the same op streams — communication safety and resource
+bounds — without executing any backend; see
 ``docs/ANALYSIS.md``.
 """
 
@@ -70,23 +69,7 @@ from repro.ir.batch import (
 )
 from repro.ir.desbackend import DESBackend, FastCollBackend
 from repro.ir.lower import grid_dims, grid_neighbors, lower
-from repro.ir.optimize import (
-    PASS_VERSION,
-    collapse_loops,
-    fold_constants,
-    fuse_ops,
-    op_count,
-    optimize_program,
-)
-from repro.ir.analyze import (
-    ANALYZE_VERSION,
-    PassCertificate,
-    analyze_program,
-    certified_optimize,
-    certify,
-    effect_summary,
-    static_clean,
-)
+from repro.ir.analyze import ANALYZE_VERSION, analyze_program, static_clean
 
 __all__ = [
     "Barrier",
@@ -125,17 +108,7 @@ __all__ = [
     "grid_dims",
     "grid_neighbors",
     "lower",
-    "PASS_VERSION",
-    "fold_constants",
-    "fuse_ops",
-    "collapse_loops",
-    "optimize_program",
-    "op_count",
     "ANALYZE_VERSION",
-    "PassCertificate",
     "analyze_program",
-    "certified_optimize",
-    "certify",
-    "effect_summary",
     "static_clean",
 ]

@@ -1,6 +1,6 @@
 """Static analysis over the workload IR — no DES execution.
 
-Three analyzer families over :class:`~repro.ir.program.Program` op
+Two analyzer families over :class:`~repro.ir.program.Program` op
 streams, all running in milliseconds:
 
 * **Communication safety** (:mod:`~repro.ir.analyze.commsafety`) —
@@ -13,14 +13,9 @@ streams, all running in milliseconds:
   footprint vs memory, rank layout vs cores and NUMA/CMG domains, NIC
   injection floors (STA008–STA012, STA016/STA017), over
   :class:`~repro.machine.capacity.PartitionCapacity` facts.
-* **Pass soundness** (:mod:`~repro.ir.analyze.effects`) — exact-rational
-  effect summaries certifying that ``fold_constants`` / ``fuse_ops`` /
-  ``collapse_loops`` preserved this concrete program's semantics
-  (STA013/STA014).
 
 Entry points: :func:`analyze_program` (full report),
-:func:`static_clean` (memoized yes/no for backends),
-:func:`certified_optimize` (optimize + certificate), and the
+:func:`static_clean` (memoized yes/no for backends), and the
 ``repro-lab analyze`` CLI.  Diagnostics share the
 :mod:`repro.verify.diagnostics` stream; see ``docs/ANALYSIS.md``.
 """
@@ -31,13 +26,6 @@ from repro.ir.analyze.catalog import (
     BENCH_NAMES,
     bundled_targets,
     target,
-)
-from repro.ir.analyze.effects import (
-    PassCertificate,
-    PhaseEffect,
-    certified_optimize,
-    certify,
-    effect_summary,
 )
 from repro.ir.analyze.framework import (
     ANALYZE_VERSION,
@@ -62,18 +50,13 @@ __all__ = [
     "CollEv",
     "DEFAULT_CHECKS",
     "DEFAULT_EAGER_THRESHOLD",
-    "PassCertificate",
-    "PhaseEffect",
     "RecvEv",
     "SendEv",
     "Traces",
     "analyze_program",
     "bundled_targets",
-    "certified_optimize",
-    "certify",
     "check_resources",
     "check_traces",
-    "effect_summary",
     "nic_floor_seconds",
     "static_clean",
     "target",

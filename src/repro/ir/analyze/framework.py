@@ -1,6 +1,6 @@
 """The analyzer driver: one call, one :class:`DiagnosticReport`.
 
-:func:`analyze_program` runs the three analyzer families over a program
+:func:`analyze_program` runs the two analyzer families over a program
 on a concrete ``(cluster, n_nodes)`` partition, in milliseconds and with
 no DES execution:
 
@@ -13,8 +13,6 @@ no DES execution:
 * ``resources`` — the capacity arithmetic of
   :mod:`repro.ir.analyze.resources` at the *full* partition scale, with
   an optional analytic elapsed-time hint to ground the NIC advice.
-* ``soundness`` — the pass certificate of
-  :mod:`repro.ir.analyze.effects` for this concrete program.
 
 :func:`static_clean` is the memoized yes/no form backends use to skip
 dynamic-verify fallbacks when a program is already proven clean.
@@ -26,14 +24,13 @@ from functools import lru_cache
 from typing import Iterable
 
 from repro.ir.analyze.commsafety import check_traces
-from repro.ir.analyze.effects import certified_optimize
 from repro.ir.analyze.resources import check_resources
 from repro.ir.analyze.trace import DEFAULT_EAGER_THRESHOLD, unroll
 from repro.ir.program import Program
 from repro.machine.capacity import PartitionCapacity
 from repro.machine.cluster import ClusterModel
 from repro.util.errors import ConfigurationError, ToolchainError
-from repro.verify.diagnostics import Diagnostic, DiagnosticReport, Severity
+from repro.verify.diagnostics import DiagnosticReport, Severity
 
 __all__ = [
     "ANALYZE_VERSION",
@@ -42,12 +39,11 @@ __all__ = [
     "static_clean",
 ]
 
-#: bump when any analyzer or the certificate canonical form changes
-#: behavior — part of the experiment cache key
-#: (:func:`repro.harness.parallel.cache_key`), like ``PASS_VERSION``.
+#: bump when any analyzer changes behavior — part of the experiment
+#: cache key (:func:`repro.harness.parallel.cache_key`).
 ANALYZE_VERSION = 1
 
-DEFAULT_CHECKS = ("comm", "resources", "soundness")
+DEFAULT_CHECKS = ("comm", "resources")
 
 
 def _analytic_hint(program: Program, cluster: ClusterModel,
@@ -78,11 +74,11 @@ def analyze_program(
 ) -> DiagnosticReport:
     """All static analyses for one program on one partition."""
     checks = tuple(checks)
-    unknown = set(checks) - {"comm", "resources", "soundness"}
+    unknown = set(checks) - set(DEFAULT_CHECKS)
     if unknown:
         raise ConfigurationError(
             f"unknown analysis {sorted(unknown)}; "
-            "choose from comm, resources, soundness"
+            f"choose from {', '.join(DEFAULT_CHECKS)}"
         )
     report = DiagnosticReport(
         title=title if title is not None else
@@ -105,27 +101,6 @@ def analyze_program(
         )
         report.extend(check_traces(
             traces, include_ok=include_ok, name=program.name))
-    if "soundness" in checks:
-        _, cert = certified_optimize(program)
-        if not cert.ok:
-            report.add(Diagnostic(
-                "STA013",
-                "optimizer passes changed the program's effect summary: "
-                + "; ".join(cert.mismatches[:4]),
-                hint="a pass is unsound on this op mix; run the lowering "
-                "backends with optimize=False and report the program",
-                location=program.name,
-                details={"mismatches": list(cert.mismatches),
-                         "digest": cert.digest},
-            ))
-        elif include_ok:
-            report.add(Diagnostic(
-                "STA014",
-                f"fold/fuse/collapse preserve this program's effect "
-                f"summary (certificate {cert.digest[:12]})",
-                location=program.name,
-                details={"digest": cert.digest},
-            ))
     return report
 
 

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import math
 
-from repro.ir.ops import CommOp
-from repro.ir.optimize import _is_zero_op
+from repro.ir.ops import CommOp, ComputeOp, MemOp, Op, SerialOp
 from repro.ir.program import Program
 from repro.machine.capacity import PartitionCapacity
 from repro.util.units import GB
@@ -189,6 +188,21 @@ def _nic_check(program: Program, cap: PartitionCapacity,
     )]
 
 
+def _is_zero_op(op: Op) -> bool:
+    """Ops whose analytic contribution is exactly ``+0.0``."""
+    if isinstance(op, SerialOp):
+        return op.seconds == 0.0
+    if isinstance(op, MemOp):
+        return op.bytes_moved == 0.0
+    if isinstance(op, ComputeOp):
+        if op.seconds is not None:
+            return op.seconds == 0.0
+        return op.flops == 0.0 and op.bytes_moved == 0.0
+    if isinstance(op, CommOp):
+        return op.count <= 0
+    return False  # Barrier
+
+
 def _dead_op_check(program: Program) -> list[Diagnostic]:
     dead: list[str] = []
     for phase, _ in program.iter_phases():
@@ -201,8 +215,8 @@ def _dead_op_check(program: Program) -> list[Diagnostic]:
         "STA016",
         f"{len(dead)} op(s) contribute zero modeled work: "
         + ", ".join(dead[:6]) + ("…" if len(dead) > 6 else ""),
-        hint="fold_constants would delete these; emitting them usually "
-        "means a generator filled in empty work quantities",
+        hint="delete them; emitting them usually means a generator "
+        "filled in empty work quantities",
         location=program.name,
         details={"count": len(dead), "ops": dead[:32]},
     )]

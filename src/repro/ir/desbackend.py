@@ -50,7 +50,6 @@ class DESBackend(Backend):
         heterogeneity: Any = None,
         fault_schedule: Any = None,
         resilience: Any = None,
-        optimize: bool = False,
         shards: int | None = None,
         shard_workers: int | None = None,
         shard_granularity: str | None = None,
@@ -59,14 +58,6 @@ class DESBackend(Backend):
         **kwargs: Any,
     ) -> RunResult:
         model = resolve_pricing(pricing)
-        if optimize:
-            # collapse invariant time-step loops before lowering: a
-            # 1000-iteration loop becomes one scaled phase, shrinking the
-            # emitted rank program by the trip count (documented ~1 ulp
-            # reassociation; see repro.ir.optimize).
-            from repro.ir.optimize import optimize_program
-
-            program = optimize_program(program)
         if check_memory:
             program.check_feasible(cluster, n_nodes)
         mapping = self._mapping(program, cluster, n_nodes, mapping)

@@ -115,14 +115,6 @@ class PricingModel(ABC):
     #: registry key and cache-key component
     name: str = ""
 
-    #: True when the model prices two ops with equal (kernel, rate, dtype,
-    #: imbalance) proportionally to their flops/bytes — the property the
-    #: optimizer's mixed-op fusion certificate relies on.  Both built-in
-    #: models are ray-homogeneous; an affine (fixed-latency) model would
-    #: not be, and the pass-soundness guard then falls back to exact
-    #: multiset matching.
-    ray_homogeneous: bool = True
-
     def identity(self) -> str:
         """Stable string folded into tape/result cache keys."""
         return self.name

@@ -85,6 +85,9 @@ class _Handler(BaseHTTPRequestHandler):
 
 class _Server(ThreadingHTTPServer):
     daemon_threads = True
+    # listen backlog: socketserver's default of 5 drops connections when
+    # a burst of clients connects faster than the accept loop drains them
+    request_queue_size = 1024
 
     def __init__(self, address: tuple[str, int], service: CapacityService,
                  verbose: bool) -> None:

@@ -346,8 +346,7 @@ def virtual_report(config: TrafficConfig, *,
 # -- real execution -----------------------------------------------------------
 
 
-def _http_dispatch(url: str, query: Query,
-                   retries: int = 2) -> tuple[int, dict[str, Any]]:
+def _http_dispatch(url: str, query: Query) -> tuple[int, dict[str, Any]]:
     import urllib.error
     import urllib.request
 
@@ -355,26 +354,19 @@ def _http_dispatch(url: str, query: Query,
     request = urllib.request.Request(
         f"{url}/v1/price", data=data,
         headers={"Content-Type": "application/json"}, method="POST")
-    # Transport-level failures (connection reset/refused while the
-    # ThreadingHTTPServer churns through its accept queue) are retried:
-    # /v1/price is a pure function of the request body, so a resend
-    # cannot double-count anything, and a vanished sample would otherwise
-    # abort the whole open-loop run.
-    for attempt in range(retries + 1):
+    try:
+        with urllib.request.urlopen(request, timeout=30.0) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as exc:
         try:
-            with urllib.request.urlopen(request, timeout=30.0) as response:
-                return response.status, json.loads(response.read())
-        except urllib.error.HTTPError as exc:
-            try:
-                body = json.loads(exc.read())
-            except ValueError:
-                body = {"error": str(exc), "status": exc.code}
-            return exc.code, body
-        except (urllib.error.URLError, ConnectionError, TimeoutError):
-            if attempt == retries:
-                raise
-            time.sleep(0.05 * (attempt + 1))
-    raise AssertionError("unreachable")
+            body = json.loads(exc.read())
+        except ValueError:
+            body = {"error": str(exc), "status": exc.code}
+        return exc.code, body
+    except (urllib.error.URLError, ConnectionError, TimeoutError) as exc:
+        # no response at all (refused, reset, timed out): status 0, so
+        # the report counts it as an error instead of losing the sample
+        return 0, {"error": repr(exc), "status": 0}
 
 
 def run_loadtest(config: TrafficConfig, *,

@@ -100,8 +100,6 @@ RULES: dict[str, Rule] = {
         Rule("STA010", Severity.ERROR, "rank x thread layout oversubscribes node cores"),
         Rule("STA011", Severity.WARNING, "rank layout misaligned with NUMA/CMG domain size"),
         Rule("STA012", Severity.ADVICE, "NIC injection floor is a first-order cost term"),
-        Rule("STA013", Severity.ERROR, "optimizer pass changed the program's effect summary"),
-        Rule("STA014", Severity.INFO, "optimizer pass certificate verified"),
         Rule("STA015", Severity.INFO, "communication proven statically safe"),
         Rule("STA016", Severity.ADVICE, "dead op: contributes no modeled work"),
         Rule("STA017", Severity.INFO, "per-node footprint fits node memory"),

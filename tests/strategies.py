@@ -148,11 +148,11 @@ def ir_programs(draw, *, max_phases: int = 3, max_ops: int = 3,
     Rank counts are chosen by the test (programs carry no rank count);
     use power-of-two ranks so the fastcoll allreduce stays exact.
 
-    ``rich=True`` widens the op mix with the analytic-only shapes the IR
-    optimizer must handle — SerialOps, MemOps, explicit-rate roofline
+    ``rich=True`` widens the op mix with the analytic-only shapes the
+    batched tape must price — SerialOps, MemOps, explicit-rate roofline
     ComputeOps, fractional CommOp counts — and wraps some phases in
     nested loops, including zero- and one-trip loops.  Rich programs are
-    meant for optimizer/batch properties, not DES differentials (the DES
+    meant for batch-vs-scalar properties, not DES differentials (the DES
     subsamples fractional-count CommOps by step index).
     """
     from repro.ir import (
@@ -208,7 +208,7 @@ def ir_programs(draw, *, max_phases: int = 3, max_ops: int = 3,
     body: tuple = phases
     if rich and draw(st.booleans()):
         # wrap a suffix of the phases in a nested loop (possibly empty
-        # or single-trip — the optimizer's fold/collapse edge cases)
+        # or single-trip — the tape's multiplicity edge cases)
         cut = draw(st.integers(0, len(phases)))
         trips = draw(st.sampled_from([0, 1, 2, 5]))
         body = phases[:cut] + (Loop(trips, phases[cut:]),)

@@ -9,7 +9,7 @@ Three contracts:
   batched backend, and never prices below the roofline (it only adds a
   non-negative hierarchy term to the memory arm);
 * preset and pricing registries drive name resolution everywhere —
-  aliases, error listings, cache keys, certificates.
+  aliases, error listings, cache keys.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from repro.ir import (
     Phase,
     Program,
     SerialOp,
-    certified_optimize,
-    certify,
 )
 from repro.ir.analytic import AnalyticBackend
 from repro.machine import (
@@ -316,24 +314,6 @@ class TestDESIntegration:
                            match="sharded DES supports only the default"):
             DESBackend().run(self._program(), cluster, 4, trace=False,
                              check_memory=False, shards=2, pricing="ecm")
-
-
-class TestPassSoundness:
-    def test_certificates_keyed_by_model(self):
-        program = _mixed_program()
-        opt_roof, cert_roof = certified_optimize(program)
-        opt_ecm, cert_ecm = certified_optimize(program, pricing="ecm")
-        assert cert_roof.ok and cert_ecm.ok
-        assert opt_roof == opt_ecm
-        assert cert_roof.digest != cert_ecm.digest
-
-    def test_certify_ok_under_both_models(self):
-        from repro.ir import optimize_program
-
-        program = _mixed_program()
-        optimized = optimize_program(program)
-        for name in pricing_model_names():
-            assert certify(program, optimized, pricing=name).ok
 
 
 class TestHarnessCacheKey:

@@ -89,11 +89,6 @@ class TestPoolThreshold:
         with pytest.raises(ConfigurationError):
             run_experiments(_IDS, jobs=2)
 
-    def test_cache_key_depends_on_pass_version(self, monkeypatch):
-        key = cache_key(_IDS[0])
-        monkeypatch.setattr("repro.ir.optimize.PASS_VERSION", 10**9)
-        assert cache_key(_IDS[0]) != key
-
 
 class TestCli:
     def test_run_jobs_json(self, capsys):

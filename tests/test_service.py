@@ -544,6 +544,59 @@ class TestHTTP:
         assert "compute_scale" in body["error"]
         assert "finite" in body["error"]
 
+    def test_burst_without_retries_all_served(self, server):
+        """Three bursts of 128 simultaneous single-shot clients: every
+        connection is accepted and answered 200 with strict JSON."""
+        import urllib.request
+
+        def strict(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        clients = 128
+        data = json.dumps(Query("stream", "cte-arm", 4).to_request()).encode()
+        for _ in range(3):
+            gate = threading.Barrier(clients)
+            results: list = [None] * clients
+
+            def fire(i):
+                request = urllib.request.Request(
+                    server.url + "/v1/price", data=data,
+                    headers={"Content-Type": "application/json"},
+                    method="POST")
+                gate.wait()
+                try:
+                    with urllib.request.urlopen(request, timeout=30) as resp:
+                        results[i] = (resp.status, json.loads(
+                            resp.read(), parse_constant=strict))
+                except Exception as exc:  # noqa: BLE001 — record, assert below
+                    results[i] = (None, repr(exc))
+
+            threads = [threading.Thread(target=fire, args=(i,))
+                       for i in range(clients)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            failed = [r for r in results if r is None or r[0] != 200]
+            assert not failed, f"{len(failed)}/{clients} failed: {failed[:3]}"
+
+    def test_transport_failures_counted_not_dropped(self):
+        """A request that gets no HTTP response at all is a counted
+        error sample (status 0), not an aborted open-loop run."""
+        import socket
+
+        from repro.service.traffic import run_loadtest
+
+        with socket.socket() as probe:  # a port nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        config = TrafficConfig(stages=((0.2, 40.0),), seed=1)
+        report, samples = run_loadtest(config, url=f"http://127.0.0.1:{port}")
+        assert samples and len(samples) == report.offered
+        assert {s.status for s in samples} == {0}
+        assert report.errors == report.offered
+        assert report.per_status == {"0": report.offered}
+
     def test_client_header_feeds_quota(self):
         from repro.service import ServiceServer
 
