@@ -1,14 +1,12 @@
 #!/usr/bin/env python3
-"""Parallel experiment campaign: the sweep executor and its result cache.
+"""Experiment campaign: the sweep runner and its result cache.
 
-Runs the full figure/table suite three ways and compares wall time:
+Runs the full figure/table suite twice and compares wall time:
 
-1. serially in-process;
-2. fanned out over worker processes (``jobs=4``) — speedup scales with
-   the host's cores, and the output is byte-identical to the serial run;
-3. from the on-disk result cache — a repeat sweep costs milliseconds, and
-   any source edit rolls the content-hash key so stale results are never
-   served.
+1. fresh, in-process;
+2. from the on-disk result cache — a repeat sweep costs milliseconds, the
+   output is byte-identical to the fresh run, and any source edit rolls
+   the content-hash key so stale results are never served.
 
 Also demonstrates the fast-collective substrate switch that makes large
 sweep campaigns cheap: ``World(fast_collectives=True)`` replaces the
@@ -32,23 +30,16 @@ def main() -> None:
     ids = list_experiments()
     print(f"experiment suite: {len(ids)} experiments\n")
 
-    # --- serial vs parallel vs cached ------------------------------------
+    # --- fresh vs cached --------------------------------------------------
     t0 = time.perf_counter()
-    serial = run_experiments(ids, jobs=1)
+    serial = run_experiments(ids)
     serial_s = time.perf_counter() - t0
-    print(f"serial:        {serial_s:6.2f}s")
-
-    t0 = time.perf_counter()
-    fanout = run_experiments(ids, jobs=4)
-    parallel_s = time.perf_counter() - t0
-    print(f"jobs=4:        {parallel_s:6.2f}s "
-          f"({serial_s / parallel_s:.2f}x; scales with cores)")
-    assert json.dumps(fanout) == json.dumps(serial), "must be deterministic"
+    print(f"fresh:         {serial_s:6.2f}s")
 
     with tempfile.TemporaryDirectory() as cache:
-        run_experiments(ids, jobs=1, cache_dir=cache)
+        run_experiments(ids, cache_dir=cache)
         t0 = time.perf_counter()
-        cached = run_experiments(ids, jobs=1, cache_dir=cache)
+        cached = run_experiments(ids, cache_dir=cache)
         cached_s = time.perf_counter() - t0
         print(f"cached rerun:  {cached_s:6.2f}s "
               f"({serial_s / max(cached_s, 1e-9):.0f}x)")

@@ -7,8 +7,8 @@ Covers the layers the perf work targets:
 * a 64-rank allreduce campaign, simulated vs analytic fast collectives;
 * batched tape evaluation vs the scalar analytic per-point loop over
   every app scaling sweep (points/second each, asserted identical);
-* the full figure/table experiment suite — serial, with ``--jobs N``
-  worker processes, and a cached re-run through the on-disk result cache;
+* the full figure/table experiment suite — fresh, and a cached re-run
+  through the on-disk result cache;
 * the auto-tuner over the million-point NEMO knob space vs a naive
   chunk-serial ``run_batch`` loop (points/second each, >=10x asserted
   in full mode);
@@ -16,13 +16,11 @@ Covers the layers the perf work targets:
   percentiles, throughput, the saturation sweep, and the bit-exactness
   audit (also written standalone as ``BENCH_service.json``).
 
-Numbers are wall-clock on the current host; the parallel speedup scales
-with available cores (a single-core container shows the fan-out overhead,
-not a speedup — the cache row is the repeat-run win there).
+Numbers are wall-clock on the current host.
 
 Usage::
 
-    PYTHONPATH=src python scripts/bench.py [--quick] [--jobs N] [--out F]
+    PYTHONPATH=src python scripts/bench.py [--quick] [--out F]
 """
 
 from __future__ import annotations
@@ -313,33 +311,26 @@ def bench_des_sharded(quick: bool) -> dict:
     return report
 
 
-def bench_figure_suite(jobs: int) -> dict:
+def bench_figure_suite() -> dict:
     from repro.harness.experiment import list_experiments
     from repro.harness.parallel import run_experiments
 
     ids = list_experiments()
 
     t0 = time.perf_counter()
-    serial = run_experiments(ids, jobs=1)
+    serial = run_experiments(ids)
     serial_s = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    fanout = run_experiments(ids, jobs=jobs)
-    fanout_s = time.perf_counter() - t0
-
     with tempfile.TemporaryDirectory() as cache:
-        run_experiments(ids, jobs=1, cache_dir=cache)  # populate
+        run_experiments(ids, cache_dir=cache)  # populate
         t0 = time.perf_counter()
-        cached = run_experiments(ids, jobs=1, cache_dir=cache)
+        cached = run_experiments(ids, cache_dir=cache)
         cached_s = time.perf_counter() - t0
 
-    assert serial == fanout == cached, "executor output must be deterministic"
+    assert serial == cached, "cached output must equal a fresh run"
     return {
         "experiments": len(ids),
-        "jobs": jobs,
         "serial_seconds": serial_s,
-        "parallel_seconds": fanout_s,
-        "parallel_speedup": serial_s / fanout_s,
         "cached_rerun_seconds": cached_s,
         "cached_speedup": serial_s / cached_s,
         "cpu_count": os.cpu_count(),
@@ -442,7 +433,7 @@ def bench_tune_million(quick: bool) -> dict:
                     scenarios=scenarios)
     clear_caches()
     t0 = time.perf_counter()
-    result = tune(spec, workers=0)
+    result = tune(spec)
     tuned_wall = time.perf_counter() - t0
     tuned_pps = result.n_points / tuned_wall
 
@@ -522,8 +513,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=None, metavar="FILE",
                         help="output path (default: BENCH_substrate.json "
                         "at the repo root)")
-    parser.add_argument("--jobs", type=int, default=min(4, os.cpu_count() or 1),
-                        help="worker processes for the figure-suite row")
     parser.add_argument("--quick", action="store_true",
                         help="fewer repetitions (smoke-test mode)")
     args = parser.parse_args(argv)
@@ -544,10 +533,10 @@ def main(argv: list[str] | None = None) -> int:
         "ecm_pricing": bench_ecm_pricing(args.quick),
         "thunderx2_figure": bench_thunderx2_figure(args.quick),
         "tune_million_points": bench_tune_million(args.quick),
-        "figure_suite": bench_figure_suite(args.jobs),
+        "figure_suite": bench_figure_suite(),
         "service_loadtest": bench_service_loadtest(args.quick, out.parent),
     }
-    out.write_text(json.dumps(report, indent=2) + "\n")
+    out.write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
     des = report["des_engine"]
     coll = report["allreduce_64_ranks"]
     suite = report["figure_suite"]
@@ -594,8 +583,6 @@ def main(argv: list[str] | None = None) -> int:
           f"{tun['speedup']:.1f}x over chunk-serial run_batch at "
           f"{tun['naive_points_per_second']:,.0f} pts/s)")
     print(f"figure suite: serial {suite['serial_seconds']:.2f}s, "
-          f"--jobs {suite['jobs']} {suite['parallel_seconds']:.2f}s "
-          f"({suite['parallel_speedup']:.2f}x on {suite['cpu_count']} cpu), "
           f"cached rerun {suite['cached_rerun_seconds']:.2f}s "
           f"({suite['cached_speedup']:.1f}x)")
     svc = report["service_loadtest"]

@@ -117,33 +117,6 @@ def _resolve_backend(backend: str | Backend | None) -> Backend:
     return get_backend(backend)
 
 
-#: sweep-level result memo for the batched-analytic default path.  Keyed
-#: on everything the evaluation is a pure function of: the app class and
-#: instance state, the declared model attributes, a content fingerprint
-#: of the cluster and of the binary (so vec_table what-ifs never
-#: collide), and the requested node counts.  Stored timings are copied
-#: on hit so callers can never mutate a cached entry.
-_SWEEP_MEMO: dict[tuple, dict[int, "StepTiming | None"]] = {}
-_SWEEP_MEMO_CAP = 4096
-
-
-def clear_sweep_memo() -> None:
-    """Drop the sweep-level timing memo (tests, benchmarks)."""
-    _SWEEP_MEMO.clear()
-
-
-def _copy_timing(timing: "StepTiming") -> "StepTiming":
-    return StepTiming(
-        cluster=timing.cluster,
-        n_nodes=timing.n_nodes,
-        phase_seconds=dict(timing.phase_seconds),
-        phase_compute=dict(timing.phase_compute),
-        phase_comm=dict(timing.phase_comm),
-        phase_flops_time=dict(timing.phase_flops_time),
-        phase_bytes_time=dict(timing.phase_bytes_time),
-    )
-
-
 def _batched_engine(engine: Backend, network: NetworkModel | None):
     """The batched analytic engine for this call, or None to stay scalar.
 
@@ -401,29 +374,12 @@ class AppModel(abc.ABC):
         """
         engine = _resolve_backend(backend)
         batched = _batched_engine(engine, None)
-        memo_key = None
         if batched is not None:
-            from repro.ir.batch import binary_fingerprint, cluster_fingerprint
-            from repro.machine.models import default_pricing_name
-
+            # Before the feasibility loop, so an unrunnable binary raises
+            # even when every point is NP.
             if binary is None:
                 binary = self.build(cluster)
             binary.check_runnable()
-            memo_key = (
-                type(self), repr(sorted(vars(self).items())),
-                self.name, self.language, self.kernels,
-                self.ranks_per_node, self.threads_per_rank,
-                self.replicated_bytes_per_rank,
-                self.distributed_bytes_total,
-                cluster_fingerprint(cluster),
-                binary_fingerprint(binary),
-                default_pricing_name(),
-                tuple(n for n in nodes if n <= cluster.n_nodes),
-            )
-            hit = _SWEEP_MEMO.get(memo_key)
-            if hit is not None:
-                return {n: None if t is None else _copy_timing(t)
-                        for n, t in hit.items()}
         out: dict[int, StepTiming | None] = {}
         feasible: list[int] = []
         for n in nodes:
@@ -435,33 +391,25 @@ class AppModel(abc.ABC):
                 out[n] = None
                 continue
             feasible.append(n)
-        if feasible:
+        if feasible and batched is not None:
+            from repro.ir.batch import BatchJob
+
+            jobs = []
+            for n in feasible:
+                mapping = self.mapping(cluster, n)
+                jobs.append(BatchJob(
+                    self.program(mapping, steps=1), cluster, n,
+                    mapping=mapping, binary=binary, check_memory=False,
+                ))
+            for n, result in zip(feasible, batched.run_batch(jobs)):
+                out[n] = _step_timing(cluster, n, result)
+        elif feasible:
             if binary is None:
                 binary = self.build(cluster)
             binary.check_runnable()
-            if batched is not None:
-                from repro.ir.batch import BatchJob
-
-                jobs = []
-                for n in feasible:
-                    mapping = self.mapping(cluster, n)
-                    jobs.append(BatchJob(
-                        self.program(mapping, steps=1), cluster, n,
-                        mapping=mapping, binary=binary, check_memory=False,
-                    ))
-                for n, result in zip(feasible, batched.run_batch(jobs)):
-                    out[n] = _step_timing(cluster, n, result)
-            else:
-                for n in feasible:
-                    out[n] = self.time_step(cluster, n, binary=binary,
-                                            backend=engine)
-        if memo_key is not None:
-            if len(_SWEEP_MEMO) >= _SWEEP_MEMO_CAP:
-                _SWEEP_MEMO.clear()
-            _SWEEP_MEMO[memo_key] = {
-                n: None if t is None else _copy_timing(t)
-                for n, t in out.items()
-            }
+            for n in feasible:
+                out[n] = self.time_step(cluster, n, binary=binary,
+                                        backend=engine)
         return out
 
     def scaling(

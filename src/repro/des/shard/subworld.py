@@ -119,7 +119,6 @@ class ShardWorld(World):
             # Closed-form collectives skip the per-message schedule and
             # with it the cross-shard outbox; always simulate in full.
             kwargs["fast_collectives"] = False
-            kwargs["hybrid_collectives"] = False
         super().__init__(mapping, **kwargs)
         if plan.n_ranks != mapping.n_ranks:
             raise ConfigurationError(

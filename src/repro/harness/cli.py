@@ -87,9 +87,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="suppress ASCII figures")
     run_p.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON instead of text")
-    run_p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                       help="worker processes for multi-experiment runs "
-                       "(default 1; output is identical for any N)")
     run_p.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="on-disk result cache keyed by a content hash "
                        "of the source tree (default: $REPRO_CACHE_DIR, "
@@ -272,9 +269,6 @@ def main(argv: list[str] | None = None) -> int:
     tune_p.add_argument("--pricing", default="both",
                         choices=("both", "roofline", "ecm"),
                         help="pricing model arm(s) to sweep (default both)")
-    tune_p.add_argument("--workers", type=int, default=0,
-                        help="shard chunks over N worker processes once "
-                        "the cost probe pays off (default 0: in-process)")
     tune_p.add_argument("--budget-mb", type=int, default=64,
                         help="per-chunk memory budget in MiB (default 64)")
     tune_p.add_argument("--top", type=int, default=8,
@@ -459,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
                 pricing=pricing,
                 memory_budget_bytes=args.budget_mb << 20,
             )
-            result = tune(spec, workers=args.workers)
+            result = tune(spec)
         except (ReproError, KeyError, ValueError) as exc:
             # str(KeyError) is the quoted repr of its argument
             message = exc.args[0] if isinstance(exc, KeyError) else exc
@@ -567,14 +561,13 @@ def main(argv: list[str] | None = None) -> int:
                     or args.des_shard_workers is not None):
                 from repro.ir import set_backend_options
 
-                # Part of the cache key via backend_options_tag(); also
-                # re-installed inside pool workers.
+                # Part of the cache key via backend_options_tag().
                 set_backend_options(
                     des_shards=args.des_shards,
                     des_workers=args.des_shard_workers,
                 )
             payloads = run_experiments(
-                ids, jobs=args.jobs, cache_dir=args.cache_dir,
+                ids, cache_dir=args.cache_dir,
                 backend=args.backend, pricing=args.pricing,
             )
         except ConfigurationError as exc:
@@ -594,7 +587,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.json:
             import json
 
-            print(json.dumps(json_out, indent=2))
+            print(json.dumps(json_out, indent=2, allow_nan=False))
         return 1 if failures else 0
     return 2  # pragma: no cover
 

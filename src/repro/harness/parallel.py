@@ -1,9 +1,7 @@
-"""Parallel sweep executor: fan experiments out over worker processes.
+"""Experiment sweep runner with an on-disk result cache.
 
-``run_experiments`` executes a list of registered experiments with
-``jobs`` worker processes and returns JSON-safe payloads **in input
-order** regardless of completion order, so ``--jobs 1`` and ``--jobs 8``
-produce byte-identical output.
+``run_experiments`` executes a list of registered experiments in-process
+and returns JSON-safe payloads in input order.
 
 An optional on-disk cache keyed by ``sha256(experiment id + a content
 hash of the whole ``repro`` source tree)`` makes repeated sweeps free:
@@ -11,40 +9,22 @@ any source edit changes the fingerprint and invalidates every entry, so
 stale results can never be served.  Each payload carries both the
 ``to_dict`` form and the pre-rendered text (with and without figures),
 so cache hits serve every CLI output mode without re-running anything.
-
-Speedup scales with available cores; on a single-core host the win
-comes from the cache, not the fan-out.  The first uncached experiment is
-always run in-process as a timing probe; a pool is only spawned when the
-measured per-task cost times the remaining task count clears
-``REPRO_POOL_MIN_SECONDS`` (default 2 s), and tasks are then dispatched
-in contiguous chunks rather than one process round-trip each — so
-``--jobs N`` never loses to ``--jobs 1`` on small or fast suites.
+Payloads are serialized as strict JSON: a non-finite value raises
+``ValueError`` instead of writing ``NaN``/``Infinity`` to the cache.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from repro.harness.experiment import run_experiment
-from repro.util.errors import ConfigurationError
 
 #: Environment variable naming the default cache directory.
 CACHE_ENV = "REPRO_CACHE_DIR"
-
-#: Environment variable overriding the pool cost threshold (seconds).
-POOL_MIN_ENV = "REPRO_POOL_MIN_SECONDS"
-
-#: Minimum estimated serial cost (seconds) of the *remaining* work before
-#: a worker pool pays for itself.  Spawning interpreters and re-importing
-#: ``repro`` costs O(1 s) per worker; below this, in-process execution
-#: wins (the old path lost to serial on small suites — 0.93x speedup).
-POOL_MIN_SECONDS = 2.0
 
 _fingerprint: str | None = None
 
@@ -90,74 +70,30 @@ def cache_key(exp_id: str, backend: str = "analytic",
     return f"{exp_id}-{digest[:16]}"
 
 
-def pool_min_seconds() -> float:
-    """Pool cost threshold: ``$REPRO_POOL_MIN_SECONDS`` override, else
-    :data:`POOL_MIN_SECONDS`.
-
-    Public because every probe-then-pool call site shares one knob: the
-    experiment sweep here, the streaming batch driver
-    (:meth:`repro.ir.batch.BatchAnalyticBackend.run_batch_stream`), and
-    the tuner's chunk sharding (:mod:`repro.tune.engine`) all spawn
-    workers only when the measured serial cost of the remaining work
-    clears this threshold.
-    """
-    env = os.environ.get(POOL_MIN_ENV)
-    if not env:
-        return POOL_MIN_SECONDS
-    try:
-        return float(env)
-    except ValueError:
-        raise ConfigurationError(
-            f"{POOL_MIN_ENV} must be a number, got {env!r}"
-        ) from None
-
-
-#: Backwards-compatible private alias (pre-ISSUE-10 call sites).
-_pool_min_seconds = pool_min_seconds
-
-
-def _run_one(exp_id: str, backend: str = "analytic",
-             pricing: str = "roofline") -> dict:
-    """Worker: run one experiment, return a JSON-safe payload."""
-    import repro.harness  # noqa: F401  (populate REGISTRY in spawned workers)
+def _run_one_text(exp_id: str, backend: str,
+                  pricing: str) -> tuple[str, float]:
+    """Run one experiment, returning its JSON-safe payload as strict JSON
+    text plus the wall seconds it took.  The text is what the cache
+    stores and what the caller parses, so a cached payload equals a
+    fresh one."""
     from repro.ir import set_default_backend
     from repro.machine.models import set_default_pricing
 
+    start = time.perf_counter()
     set_default_backend(backend)
     set_default_pricing(pricing)
     result = run_experiment(exp_id)
-    return {
+    payload = {
         "experiment": exp_id,
         "result": result.to_dict(),
         "rendered": result.render(include_figure=True),
         "rendered_no_figure": result.render(include_figure=False),
     }
-
-
-def _run_one_text(
-    exp_id: str, backend: str, options: dict | None = None,
-    pricing: str = "roofline",
-) -> tuple[str, float]:
-    """Worker: run one experiment, returning its payload as **serialized
-    JSON** plus the wall seconds it took.
-
-    The text crosses the process boundary exactly once and is what the
-    parent writes to the cache verbatim — the old path pickled the big
-    payload dict back to the parent and then re-serialized it there,
-    paying twice for large DES results.  ``options`` re-installs the
-    parent's backend options (shard counts etc.) in spawned workers.
-    """
-    from repro.ir import set_backend_options
-
-    if options:
-        set_backend_options(**options)
-    start = time.perf_counter()
-    payload = _run_one(exp_id, backend, pricing)
-    return json.dumps(payload), time.perf_counter() - start
+    return json.dumps(payload, allow_nan=False), time.perf_counter() - start
 
 
 #: per-task timing of the most recent ``run_experiments`` call:
-#: ``[(experiment id, wall seconds, "probe"|"pool"|"serial"|"cache")]``.
+#: ``[(experiment id, wall seconds, "run"|"cache")]``.
 _last_stats: list[tuple[str, float, str]] = []
 
 
@@ -179,25 +115,25 @@ def resolve_cache_dir(cache_dir: str | os.PathLike | None) -> Path | None:
 def run_experiments(
     exp_ids: list[str],
     *,
-    jobs: int = 1,
     cache_dir: str | os.PathLike | None = None,
     backend: str = "analytic",
     pricing: str | None = None,
 ) -> list[dict]:
     """Run experiments and return their payloads in input order.
 
-    ``jobs`` > 1 fans uncached experiments out over that many worker
-    processes.  ``cache_dir`` (or ``$REPRO_CACHE_DIR``) enables the
-    on-disk result cache; ``None`` disables caching entirely.
-    ``backend`` selects the IR execution backend every worker installs as
-    the process default before running (and is part of the cache key);
-    ``pricing`` does the same for the machine-model pricing strategy
-    (``None`` keeps the process default, normally roofline).
+    ``cache_dir`` (or ``$REPRO_CACHE_DIR``) enables the on-disk result
+    cache; ``None`` disables caching entirely.  ``backend`` selects the
+    IR execution backend installed as the process default while the
+    experiments run (and is part of the cache key); ``pricing`` does the
+    same for the machine-model pricing strategy (``None`` keeps the
+    process default, normally roofline).
     """
-    if jobs < 1:
-        raise ConfigurationError("jobs must be >= 1")
-    from repro.ir import get_backend
-    from repro.machine.models import resolve_pricing
+    from repro.ir import default_backend_name, get_backend, set_default_backend
+    from repro.machine.models import (
+        default_pricing_name,
+        resolve_pricing,
+        set_default_pricing,
+    )
 
     get_backend(backend)  # validate the name before any work
     pricing = resolve_pricing(pricing).name  # validate + canonicalize
@@ -205,76 +141,31 @@ def run_experiments(
     stats: list[tuple[str, float, str]] = []
     cache = resolve_cache_dir(cache_dir)
     payloads: dict[str, dict] = {}
-    missing: list[str] = []
-    for exp_id in exp_ids:
-        if exp_id in payloads or exp_id in missing:
-            continue
-        if cache is not None:
-            path = cache / f"{cache_key(exp_id, backend, pricing)}.json"
-            if path.is_file():
+    prev = default_backend_name()
+    prev_pricing = default_pricing_name()
+    try:
+        for exp_id in exp_ids:
+            if exp_id in payloads:
+                continue
+            path = (None if cache is None else
+                    cache / f"{cache_key(exp_id, backend, pricing)}.json")
+            if path is not None and path.is_file():
                 payloads[exp_id] = json.loads(path.read_text())
                 stats.append((exp_id, 0.0, "cache"))
                 continue
-        missing.append(exp_id)
-    if missing:
-        from repro.ir import default_backend_name, set_default_backend
-        from repro.ir.backend import _BACKEND_OPTIONS
-        from repro.machine.models import default_pricing_name, set_default_pricing
-
-        options = dict(_BACKEND_OPTIONS)
-        # Probe: run the first missing experiment in-process and time it.
-        # Worker processes cost O(1 s) each to spawn and re-import; if the
-        # measured per-task cost says the remaining work is cheaper than
-        # that, a pool can only lose to serial (the old unconditional
-        # fan-out ran *slower* than --jobs 1 on small suites).
-        prev = default_backend_name()
-        prev_pricing = default_pricing_name()
-        try:
-            text, wall = _run_one_text(missing[0], backend, pricing=pricing)
-            fresh = [text]
-            per_task = wall
-        finally:
-            set_default_backend(prev)
-            set_default_pricing(prev_pricing)
-        stats.append((missing[0], per_task, "probe"))
-        rest = missing[1:]
-        if (rest and jobs > 1
-                and per_task * len(rest) >= _pool_min_seconds()):
-            workers = min(jobs, len(rest))
-            # Chunk instead of one task per process dispatch: amortizes
-            # pickling/IPC over len(rest)/workers tasks per round trip.
-            # Workers ship back the serialized text, never the payload
-            # dict, so a large result is serialized exactly once.
-            chunksize = max(1, math.ceil(len(rest) / workers))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for exp_id, (text, wall) in zip(rest, pool.map(
-                        _run_one_text, rest, [backend] * len(rest),
-                        [options] * len(rest), [pricing] * len(rest),
-                        chunksize=chunksize)):
-                    fresh.append(text)
-                    stats.append((exp_id, wall, "pool"))
-        elif rest:
-            prev = default_backend_name()
-            prev_pricing = default_pricing_name()
-            try:
-                for exp_id in rest:
-                    text, wall = _run_one_text(exp_id, backend,
-                                               pricing=pricing)
-                    fresh.append(text)
-                    stats.append((exp_id, wall, "serial"))
-            finally:
-                set_default_backend(prev)
-                set_default_pricing(prev_pricing)
-        for exp_id, text in zip(missing, fresh):
+            text, wall = _run_one_text(exp_id, backend, pricing)
+            stats.append((exp_id, wall, "run"))
             payloads[exp_id] = json.loads(text)
-            if cache is not None:
-                cache.mkdir(parents=True, exist_ok=True)
-                path = cache / f"{cache_key(exp_id, backend, pricing)}.json"
+            if path is not None:
+                path.parent.mkdir(parents=True, exist_ok=True)
                 tmp = path.with_suffix(".tmp")
-                # The worker-serialized text is the cache entry verbatim:
-                # reloaded payloads serialize byte-identically to fresh
-                # ones because both come from the same dump.
+                # The serialized text is the cache entry verbatim:
+                # reloaded payloads equal fresh ones because both are
+                # parsed from the same dump.
                 tmp.write_text(text)
                 tmp.replace(path)  # atomic publish; concurrent sweeps race safely
+    finally:
+        set_default_backend(prev)
+        set_default_pricing(prev_pricing)
     _last_stats = stats
     return [payloads[exp_id] for exp_id in exp_ids]

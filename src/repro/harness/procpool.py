@@ -1,22 +1,26 @@
 """Persistent worker processes with per-call wall-time accounting.
 
-:class:`~concurrent.futures.ProcessPoolExecutor` re-pickles the task
-function per dispatch and gives no per-task timing; the sharded DES
-driver (:mod:`repro.des.shard.driver`) instead needs long-lived workers
-that hold heavy state (built sub-worlds) across hundreds of small
-window-boundary exchanges.  A :class:`PersistentPool` spawns one process
-per init payload, builds a handler object inside each via a module-level
-factory, and then routes ``call_all`` batches over pipes — measuring the
-handler wall time worker-side, so the stats separate simulation work
-from IPC.
+The sharded DES driver (:mod:`repro.des.shard.driver`) needs long-lived
+workers that hold heavy state (built sub-worlds) across hundreds of
+small window-boundary exchanges.  A :class:`PersistentPool` spawns one
+process per init payload, builds a handler object inside each via a
+module-level factory, and then routes ``call_all`` batches over pipes —
+measuring the handler wall time worker-side, so the stats separate
+simulation work from IPC.  A worker that exits mid-call surfaces as
+:class:`~repro.util.errors.WorkerDied`, never as a bare pipe error.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from multiprocessing.connection import Connection, wait
+from multiprocessing.connection import Connection
 from time import perf_counter
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, NoReturn
+
+from repro.util.errors import WorkerDied
+
+#: what a pipe raises when the process at its other end has gone.
+_PIPE_ERRORS = (EOFError, ConnectionResetError, BrokenPipeError)
 
 
 def _pool_worker(
@@ -87,12 +91,18 @@ class PersistentPool:
             raise ValueError(
                 f"{len(messages)} messages for {len(self._conns)} workers"
             )
-        for conn, msg in zip(self._conns, messages):
-            conn.send(("call", msg))
+        for i, (conn, msg) in enumerate(zip(self._conns, messages)):
+            try:
+                conn.send(("call", msg))
+            except _PIPE_ERRORS:
+                self._worker_died(i)
         replies: list[Any] = []
         error: BaseException | None = None
         for i, conn in enumerate(self._conns):
-            kind, payload, wall = conn.recv()
+            try:
+                kind, payload, wall = conn.recv()
+            except _PIPE_ERRORS:
+                self._worker_died(i)
             self.call_walls[i].append(wall)
             if kind == "err":
                 error = error if error is not None else payload
@@ -104,66 +114,22 @@ class PersistentPool:
             raise error
         return replies
 
-    def imap(self, messages: Iterable[Any]) -> Iterator[Any]:
-        """Pipelined ordered map: stream any number of messages through
-        the fixed worker set, yielding results in INPUT order.
-
-        Unlike :meth:`call_all` (one message per worker, a barrier per
-        round), ``imap`` keeps every worker busy: an idle worker
-        immediately receives the next message while slower ones are still
-        computing, and a bounded reorder buffer (2x the worker count)
-        restores input order — so both memory and outstanding work stay
-        bounded for million-point streams.  The input iterable is
-        consumed lazily.  A worker-side exception stops dispatch, drains
-        the in-flight calls, closes the pool, and re-raises.  Abandoning
-        the generator mid-stream leaves in-flight calls un-collected;
-        ``close()`` still shuts the workers down cleanly.
-        """
-        feed = enumerate(iter(messages))
-        pending: dict[int, int] = {}   # worker index -> message index
-        done: dict[int, Any] = {}      # message index -> result
-        by_conn = {id(conn): w for w, conn in enumerate(self._conns)}
-        idle = list(range(len(self._conns)))
-        next_out = 0
-        exhausted = False
-        error: BaseException | None = None
-        max_buffered = max(2, 2 * len(self._conns))
-        while True:
-            while (idle and not exhausted and error is None
-                   and len(done) < max_buffered):
-                try:
-                    idx, msg = next(feed)
-                except StopIteration:
-                    exhausted = True
-                    break
-                worker = idle.pop()
-                pending[worker] = idx
-                self._conns[worker].send(("call", msg))
-            if not pending:
-                break
-            for conn in wait([self._conns[w] for w in pending]):
-                worker = by_conn[id(conn)]
-                kind, payload, wall = conn.recv()  # type: ignore[union-attr]
-                self.call_walls[worker].append(wall)
-                idx = pending.pop(worker)
-                idle.append(worker)
-                if kind == "err":
-                    error = error if error is not None else payload
-                else:
-                    done[idx] = payload
-            while error is None and next_out in done:
-                yield done.pop(next_out)
-                next_out += 1
-        if error is not None:
-            self.close()
-            raise error
-        while next_out in done:
-            yield done.pop(next_out)
-            next_out += 1
-
-    def map(self, messages: Iterable[Any]) -> list[Any]:
-        """Materialized :meth:`imap` — all results, in input order."""
-        return list(self.imap(messages))
+    def _worker_died(self, index: int) -> NoReturn:
+        """Worker ``index`` hung up mid-call: the batch protocol cannot
+        resume, so stop every worker and raise :class:`WorkerDied`."""
+        proc = self._procs[index]
+        proc.join(timeout=5.0)
+        exitcode = proc.exitcode
+        for other in self._procs:
+            if other.is_alive():
+                other.terminate()
+            other.join(timeout=5.0)
+        for conn in self._conns:
+            conn.close()
+        raise WorkerDied(
+            f"pool worker {index} exited mid-call (exit code {exitcode})",
+            worker=index, exitcode=exitcode,
+        )
 
     def close(self) -> None:
         for conn in self._conns:

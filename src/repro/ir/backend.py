@@ -36,7 +36,7 @@ BACKENDS: dict[str, type["Backend"]] = {}
 _DEFAULT_BACKEND = "analytic"
 
 #: process-wide backend tuning options (``des_shards``, ``des_workers``,
-#: ``des_granularity``, ``des_hybrid``, ...).  Like the default backend
+#: ``des_granularity``).  Like the default backend
 #: itself, these steer code that calls ``get_backend(...).run(...)``
 #: without a way to thread per-call kwargs (the harness experiment
 #: registry); they are part of the sweep cache key via

@@ -34,21 +34,14 @@ tape per Program, network per (cluster, n_nodes), binary per program
 identity, and a result memo keyed by a content hash of (tape structure +
 numeric columns + cluster + mapping + binary + overrides + pricing model).
 
-Million-point scale (ISSUE 10) adds two streaming entry points on top of
-``run_batch``:
-
-* :meth:`BatchAnalyticBackend.run_batch_stream` — a lazy generator that
-  consumes an arbitrarily long job iterable in chunks sized by a
-  configurable memory budget (:func:`stream_chunk_points`), optionally
-  sharding chunks across :class:`repro.harness.procpool.PersistentPool`
-  workers.  Results arrive in canonical input order and are bit-identical
-  to ``run_batch`` for any chunk size and worker count.
-* :meth:`BatchAnalyticBackend.run_override_columns` — the tuner's fast
-  path: one prepared job plus structure-of-arrays override columns.  The
-  job's tape is priced once, as a single lane that broadcasts against
-  the override vectors, never materializing ``(n_points, n_rows)``
-  matrices; each yielded :class:`ColumnChunk` carries per-point
-  elapsed/phase arrays.
+Million-point scale adds one streaming entry point on top of
+``run_batch``: :meth:`BatchAnalyticBackend.run_override_columns`, the
+tuner's fast path — one prepared job plus structure-of-arrays override
+columns, priced in chunks sized by a memory budget
+(:func:`stream_chunk_points`).  The job's tape is priced once, as a
+single lane that broadcasts against the override vectors, never
+materializing ``(n_points, n_rows)`` matrices; each yielded
+:class:`ColumnChunk` carries per-point elapsed/phase arrays.
 
 Both entry points price through ONE kernel, :func:`_evaluate`; only the
 source of the override knob vectors differs (the jobs' ``overrides``, or
@@ -64,8 +57,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import islice
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -345,19 +337,11 @@ def tape_cache_stats() -> dict[str, int | None]:
     return _TAPES.stats()
 
 
-def stream_chunk_points(tape: Tape, memory_budget_bytes: int,
-                        *, columns: bool = False) -> int:
-    """Points per chunk so one vectorized pass stays under the budget.
-
-    ``columns=False`` models :meth:`BatchAnalyticBackend.run_batch_stream`
-    feeding ``run_batch``: every numeric column is stacked to
-    ``(points, n_rows)`` float64 and the walk keeps a handful of live
-    ``(points,)`` temporaries plus the per-phase accumulators, so the
-    estimate charges each point ``8 * n_rows * n_columns`` bytes for the
-    stacks, a multiplicative headroom factor for elementwise temporaries,
-    and a flat payload overhead.  ``columns=True`` models the
-    column-stream fast path, which never stacks rows — its footprint is
-    the per-phase accumulators plus O(1) working vectors.
+def stream_chunk_points(tape: Tape, memory_budget_bytes: int) -> int:
+    """Override-column points per chunk so one vectorized pass of
+    :meth:`BatchAnalyticBackend.run_override_columns` stays under the
+    budget.  The column path never stacks rows — its footprint is the
+    per-phase accumulators plus O(1) working vectors per point.
 
     Pure and deterministic (tests pin monotonicity in the budget), and
     conservative by design: the differential memory test asserts the
@@ -367,15 +351,8 @@ def stream_chunk_points(tape: Tape, memory_budget_bytes: int,
         raise ConfigurationError(
             f"memory budget must be positive, got {memory_budget_bytes}"
         )
-    n_cols = len(_COLUMNS) + len(tape.extra_names) + 1  # + occ_mult
-    if columns:
-        # per-phase sec/comp/comm/tf/tb accumulators + working vectors
-        per_point = 8 * (5 * max(1, len(tape.names)) + 24)
-    else:
-        stacked = 8 * max(1, tape.n_rows) * n_cols
-        temporaries = 8 * (5 * max(1, len(tape.names)) + 16)
-        payload = 160 * max(1, len(tape.names)) + 512
-        per_point = 3 * stacked + temporaries + payload
+    # per-phase sec/comp/comm/tf/tb accumulators + working vectors
+    per_point = 8 * (5 * max(1, len(tape.names)) + 24)
     return max(1, memory_budget_bytes // per_point)
 
 
@@ -516,11 +493,6 @@ def clear_caches() -> None:
     _BINARIES.clear()
     _RESULT_MEMO.clear()
     _TAPES.clear()
-    import sys
-
-    apps_base = sys.modules.get("repro.apps.base")
-    if apps_base is not None:  # downstream memo over batch results
-        apps_base.clear_sweep_memo()
 
 
 def cluster_fingerprint(cluster: ClusterModel) -> bytes:
@@ -672,111 +644,6 @@ class BatchAnalyticBackend(Backend):
         return [self._result(ctx, payload)
                 for ctx, payload in zip(ctxs, payloads)]
 
-    def run_batch_stream(
-        self,
-        jobs: "Iterable[BatchJob]",
-        *,
-        chunk_points: int | None = None,
-        memory_budget_bytes: int | None = None,
-        workers: int = 0,
-    ) -> "Iterator[RunResult]":
-        """Lazily price an arbitrarily long job iterable in bounded chunks.
-
-        Yields :class:`~repro.ir.backend.RunResult`\\ s in input order,
-        bit-identical to one big ``run_batch`` call for ANY ``chunk_points``
-        and ANY ``workers`` — chunking only changes when jobs are stacked,
-        never the lane arithmetic, and chunk boundaries are derived from
-        the budget alone, independent of the worker count.
-
-        ``chunk_points`` overrides the budget-derived chunk size
-        (:func:`stream_chunk_points` over the first job's tape under
-        ``memory_budget_bytes``, default :data:`DEFAULT_STREAM_BUDGET`).
-        Peak allocation is bounded by the budget: only one chunk's stacked
-        matrices are live at a time (``workers`` chunks when pooled).
-
-        ``workers > 1`` shards chunks across a
-        :class:`repro.harness.procpool.PersistentPool` after an in-process
-        probe of the first chunk shows the remaining work clears
-        ``repro.harness.parallel.pool_min_seconds()`` (the PR-5 cost
-        probe); unpicklable jobs (custom network objects etc.) fall back
-        to in-process evaluation.  Each worker compiles a tape at most
-        once — the per-process :class:`TapeCache` is keyed by Program
-        value, so every chunk of the same program hits the warm tape.
-        """
-        if chunk_points is not None and chunk_points < 1:
-            raise ConfigurationError(
-                f"chunk_points must be positive, got {chunk_points}"
-            )
-        it = iter(jobs)
-        head = list(islice(it, 1))
-        if not head:
-            return
-        if chunk_points is None:
-            budget = (DEFAULT_STREAM_BUDGET if memory_budget_bytes is None
-                      else memory_budget_bytes)
-            chunk_points = stream_chunk_points(
-                compile_tape(head[0].program), budget)
-
-        def chunks() -> "Iterator[list[BatchJob]]":
-            buf = head + list(islice(it, chunk_points - 1))
-            while buf:
-                yield buf
-                buf = list(islice(it, chunk_points))
-
-        gen = chunks()
-        if workers <= 1:
-            for chunk in gen:
-                yield from self.run_batch(chunk)
-            return
-
-        # Probe: price the first chunk in-process and time it.  The
-        # stream's length is unknown, so the estimate is the measured
-        # per-chunk cost times a prefetch window of up to ``workers``
-        # chunks — a lower bound on the remaining work.
-        from time import perf_counter
-
-        from repro.harness.parallel import pool_min_seconds
-
-        try:
-            first = next(gen)
-        except StopIteration:  # pragma: no cover - chunks() yields >= 1
-            return
-        t0 = perf_counter()
-        yield from self.run_batch(first)
-        per_chunk = perf_counter() - t0
-        threshold = pool_min_seconds()
-        window: list[list[BatchJob]] = []
-        for chunk in gen:
-            window.append(chunk)
-            if (per_chunk * len(window) >= threshold
-                    or len(window) >= workers):
-                break
-        if not window:
-            return
-        use_pool = per_chunk * len(window) >= threshold
-        if use_pool:
-            import pickle
-
-            try:
-                pickle.dumps(window[0])
-            except Exception:
-                use_pool = False  # unpicklable job: price in-process
-        if not use_pool:
-            for chunk in window:
-                yield from self.run_batch(chunk)
-            for chunk in gen:
-                yield from self.run_batch(chunk)
-            return
-        from itertools import chain
-
-        from repro.harness.procpool import PersistentPool
-
-        n_workers = max(2, min(workers, len(window)))
-        with PersistentPool(_stream_worker_factory,
-                            [None] * n_workers) as pool:
-            for results in pool.imap(chain(window, gen)):
-                yield from results
-
     def run_override_columns(
         self,
         job: BatchJob,
@@ -801,8 +668,7 @@ class BatchAnalyticBackend(Backend):
         equivalent scalar-overrides ``run_batch`` job (differential-tested).
 
         Yields :class:`ColumnChunk`\\ s of at most ``chunk_points`` points
-        (default: :func:`stream_chunk_points` with ``columns=True`` under
-        the budget), keeping peak allocation bounded.  ``job.overrides``
+        (default: :func:`stream_chunk_points` under the budget), keeping peak allocation bounded.  ``job.overrides``
         must be empty — the columns ARE the overrides.
         """
         if job.overrides:
@@ -833,8 +699,7 @@ class BatchAnalyticBackend(Backend):
         if chunk_points is None:
             budget = (DEFAULT_STREAM_BUDGET if memory_budget_bytes is None
                       else memory_budget_bytes)
-            chunk_points = stream_chunk_points(ctx.tape, budget,
-                                               columns=True)
+            chunk_points = stream_chunk_points(ctx.tape, budget)
         elif chunk_points < 1:
             raise ConfigurationError(
                 f"chunk_points must be positive, got {chunk_points}"
@@ -1247,26 +1112,6 @@ def _on_new_pricing_model(_model: PricingModel) -> None:
 
 
 on_pricing_registered(_on_new_pricing_model)
-
-
-class _StreamChunkWorker:
-    """PersistentPool handler: price one pickled job chunk per call.
-
-    Lives in a spawned worker process; the process-local caches (tape,
-    network, binary, memo) persist across calls, so each worker compiles
-    a given program's tape exactly once — Program is a frozen value type,
-    so pickled copies hit the same :class:`TapeCache` entry.
-    """
-
-    def __init__(self) -> None:
-        self._backend = shared_batch_backend()
-
-    def handle(self, chunk: list[BatchJob]) -> list[RunResult]:
-        return self._backend.run_batch(chunk)
-
-
-def _stream_worker_factory(_init: Any) -> _StreamChunkWorker:
-    return _StreamChunkWorker()
 
 
 _SHARED: BatchAnalyticBackend | None = None

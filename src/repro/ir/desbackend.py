@@ -53,7 +53,6 @@ class DESBackend(Backend):
         shards: int | None = None,
         shard_workers: int | None = None,
         shard_granularity: str | None = None,
-        hybrid: bool | None = None,
         pricing: str | PricingModel | None = None,
         **kwargs: Any,
     ) -> RunResult:
@@ -75,8 +74,6 @@ class DESBackend(Backend):
             shard_workers = int(backend_option("des_workers", 0))
         if shard_granularity is None:
             shard_granularity = str(backend_option("des_granularity", "node"))
-        if hybrid is None:
-            hybrid = bool(backend_option("des_hybrid", False))
         shard_stats = None
         if shards > 1:
             # Sharded path: cross-shard traffic forbids the closed-form
@@ -120,23 +117,11 @@ class DESBackend(Backend):
             world_result, stats = run_sharded(spec, workers=shard_workers)
             shard_stats = stats.to_dict()
         else:
-            # Hybrid fast path: when the static analyzer proves the
-            # program communication-clean (provably bulk-synchronous
-            # phases), big collectives take the fastcoll closed forms —
-            # mid-run, per collective instance, once the fault timeline
-            # is quiet (see World._use_fastcoll).
-            use_hybrid = False
-            if (hybrid and not self.fast_collectives and not nic_contention
-                    and not verify):
-                from repro.ir.analyze import static_clean
-
-                use_hybrid = static_clean(program, mapping.n_ranks)
             world = World(
                 mapping,
                 network=network,
                 trace=trace,
-                fast_collectives=self.fast_collectives or use_hybrid,
-                hybrid_collectives=use_hybrid,
+                fast_collectives=self.fast_collectives,
                 nic_contention=nic_contention,
                 compute_noise=compute_noise,
                 noise_seed=noise_seed,

@@ -73,14 +73,6 @@ class ResilienceState:
         )
         self._rank_processes: dict[int, "Process"] = {}
         self._expected_ranks = 0
-        #: time of the last transition that changes the *network* (crash,
-        #: degrade, recover) — after it, link timings are constant and the
-        #: hybrid fastcoll gate may take the closed forms.
-        self._network_horizon = max(
-            (ev.at for ev in schedule
-             if isinstance(ev, (NodeCrash, LinkDegrade, LinkRecover))),
-            default=-float("inf"),
-        )
         max_node = schedule.max_node()
         if max_node >= world.mapping.n_nodes:
             from repro.util.errors import ConfigurationError
@@ -141,11 +133,6 @@ class ResilienceState:
                 and len(self.finish_times) == self._expected_ranks):
             return max(self.finish_times.values())
         return fallback
-
-    def network_quiet(self, now: float) -> bool:
-        """True once every network-affecting transition of the schedule
-        is strictly in the past (link timings can no longer change)."""
-        return now > self._network_horizon
 
     # -- queries (used by the robust communicator) --------------------------
 

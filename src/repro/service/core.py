@@ -26,6 +26,7 @@ Everything is stdlib + the existing lab; see ``docs/SERVICE.md``.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -482,7 +483,18 @@ class CapacityService:
             self.failed += 1
             raise ServiceError(422, str(exc.args[0]) if exc.args
                                else str(exc)) from exc
-        return encode_result(query, result)
+        body = encode_result(query, result)
+        values = [body["elapsed_seconds"], body["seconds_per_step"]]
+        for key in ("phase_seconds", "phase_compute", "phase_comm"):
+            values.extend(body[key].values())
+        if not all(math.isfinite(v) for v in values):
+            # Finite overrides can still overflow float64 in product;
+            # the response must stay strict JSON.
+            self.failed += 1
+            raise ServiceError(
+                422, "priced time is not finite: the overrides overflow "
+                "float64")
+        return body
 
     def handle(self, payload: Mapping[str, Any], *,
                now: float | None = None) -> tuple[int, dict[str, Any]]:

@@ -558,4 +558,5 @@ def loadtest_bench(*, quick: bool = False, seed: int = 0,
 
 
 def write_bench(payload: dict[str, Any], out: Path) -> None:
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    out.write_text(json.dumps(payload, indent=2, sort_keys=True,
+                              allow_nan=False) + "\n")

@@ -352,7 +352,7 @@ class Comm:
             return
         start = self.now
         world = self.world
-        if world._use_fastcoll(self):
+        if world._use_fastcoll():
             yield from world.fastcoll.participate(self, "barrier", None, {})
             self._trace(start, "barrier")
             return
@@ -375,7 +375,7 @@ class Comm:
             return payload
         start = self.now
         world = self.world
-        if world._use_fastcoll(self):
+        if world._use_fastcoll():
             data = yield from world.fastcoll.participate(
                 self, "bcast", payload, {"root": root, "size": size}
             )
@@ -419,7 +419,7 @@ class Comm:
         p = self.size
         start = self.now
         world = self.world
-        if p > 1 and world._use_fastcoll(self):
+        if p > 1 and world._use_fastcoll():
             result = yield from world.fastcoll.participate(
                 self, "reduce", payload, {"op": op, "root": root, "size": size}
             )
@@ -455,7 +455,7 @@ class Comm:
             return payload
         start = self.now
         world = self.world
-        if world._use_fastcoll(self):
+        if world._use_fastcoll():
             result = yield from world.fastcoll.participate(
                 self, "allreduce", payload, {"op": op, "size": size}
             )
@@ -519,7 +519,7 @@ class Comm:
             return [payload]
         start = self.now
         world = self.world
-        if world._use_fastcoll(self):
+        if world._use_fastcoll():
             blocks = yield from world.fastcoll.participate(
                 self, "allgather", payload, {"size": size}
             )
@@ -558,7 +558,7 @@ class Comm:
         )
         start = self.now
         world = self.world
-        if p > 1 and world._use_fastcoll(self):
+        if p > 1 and world._use_fastcoll():
             received = yield from world.fastcoll.participate(
                 self, "alltoall", payloads, {"size": size}
             )

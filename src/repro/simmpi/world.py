@@ -89,7 +89,6 @@ class World:
         send_overhead_s: float = 0.2e-6,
         trace: bool | str = True,
         fast_collectives: bool = False,
-        hybrid_collectives: bool = False,
         nic_contention: bool = False,
         compute_noise: float = 0.0,
         noise_seed: int = 0,
@@ -119,13 +118,7 @@ class World:
         #: ``run(verify=True)`` and NIC-contention worlds always take the
         #: fully simulated path.
         self.fast_collectives = fast_collectives
-        #: with a fault schedule attached, allow closed-form collectives
-        #: once the fault timeline is exhausted (see ``_use_fastcoll``).
-        self.hybrid_collectives = hybrid_collectives
         self._fastcoll = None
-        #: per-collective-instance fastcoll decisions of the hybrid gate:
-        #: (comm_id, coll_seq) -> [decision, ranks seen].
-        self._hybrid_gate: dict[tuple[int, int], list] = {}
         self._channels: dict[int, Channel] = {}
         self._comm_ids: dict[tuple, int] = {}
         #: serialize rendezvous injections per node (real NICs do).
@@ -161,45 +154,16 @@ class World:
                 resilience if resilience is not None else ResiliencePolicy(),
             )
 
-    def _use_fastcoll(self, comm: "Comm | None" = None) -> bool:
+    def _use_fastcoll(self) -> bool:
         """Analytic collectives apply only when nothing observes or
         perturbs the full per-message schedule: no verify recorder, no NIC
         contention model, no dynamic fault schedule (fault factors may
         change *during* a collective), and no statically dead link (the
         closed forms cannot represent an unreachable pair).
-
-        With ``hybrid_collectives`` a world *with* a fault schedule takes
-        the closed forms for collectives that provably run on a constant
-        fabric: once the schedule's last network transition has passed
-        (and nothing is unreachable or dead), every later collective is
-        exact under the closed forms.  The decision must be identical on
-        every rank of one collective instance — ranks straddling the
-        boundary would half-simulate, half-shortcut the same collective
-        and deadlock — so the *first arriver* decides per (comm_id,
-        coll_seq) and the rest follow.
         """
-        if (not self.fast_collectives or self.recorder is not None
-                or self.nic_contention):
-            return False
-        state = self.resilience
-        if state is None:
-            return not self.network.faults.has_unreachable()
-        if not self.hybrid_collectives or comm is None:
-            return False
-        key = (comm._comm_id, comm._coll_seq)
-        entry = self._hybrid_gate.get(key)
-        if entry is None:
-            decision = (
-                state.network_quiet(self.engine.now)
-                and not state.failed_ranks
-                and not self.network.faults.has_unreachable()
-            )
-            entry = [decision, 0]
-            self._hybrid_gate[key] = entry
-        entry[1] += 1
-        if entry[1] >= comm.size:
-            del self._hybrid_gate[key]
-        return bool(entry[0])
+        return (self.fast_collectives and self.recorder is None
+                and not self.nic_contention and self.resilience is None
+                and not self.network.faults.has_unreachable())
 
     @property
     def fastcoll(self):

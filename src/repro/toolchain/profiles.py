@@ -104,8 +104,8 @@ _GNU_AVX512 = {
 # ---------------------------------------------------------------------------
 
 # Module-level named functions (not lambdas) so CompilerProfile — and the
-# Binary objects that embed one — stay picklable; the streaming batch
-# driver ships BatchJob chunks to PersistentPool workers.
+# Binary objects that embed one — stay picklable; the sharded DES ships
+# its spec (binary included) to PersistentPool workers.
 
 
 def _fujitsu_alya_failure() -> CompileHang:

@@ -1,4 +1,4 @@
-"""The tuning engine: chunked pricing, pooling, frontier assembly.
+"""The tuning engine: chunked pricing and frontier assembly.
 
 The full point space is ``templates x pricing models x
 points-per-template`` (see :mod:`repro.tune.space`); each (template,
@@ -9,24 +9,18 @@ a task costs one warm-tape lane evaluation instead of thousands of
 ``run_batch`` preparations.  Energy is derived per lane from the
 :mod:`repro.power` node model and the tape's byte totals.
 
-Each task reduces to its own Pareto-frontier candidates worker-side
-(the merge property in :mod:`repro.tune.pareto` makes this exact), so
-only frontier candidates cross the process boundary — the parent's
-final pass over the merged candidates yields the global frontier.
-Chunk boundaries derive from the memory budget alone and candidates are
-collected in task order, so the result is identical for ANY worker
-count; the PR-5 cost probe (price the first task in-process, spawn a
-:class:`repro.harness.procpool.PersistentPool` only when the measured
-per-task cost times the remaining task count clears
-:func:`repro.harness.parallel.pool_min_seconds`) keeps small tunes
-pool-free.
+Each task reduces to its own Pareto-frontier candidates (the merge
+property in :mod:`repro.tune.pareto` makes this exact), so only
+frontier candidates are kept — the final pass over the merged
+candidates yields the global frontier.  Chunk boundaries derive from
+the memory budget alone and candidates are collected in task order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -49,13 +43,7 @@ __all__ = ["TuneSpec", "decode_point", "tune"]
 
 @dataclass(frozen=True)
 class TuneSpec:
-    """Everything that defines one tuning run.
-
-    Plain picklable values only — pool workers receive the spec and
-    rebuild the enumerated space locally (one tape compile per worker,
-    via the process-local tape cache), so no heavyweight objects cross
-    the process boundary.
-    """
+    """Everything that defines one tuning run."""
 
     app: str
     cluster: str
@@ -158,7 +146,7 @@ def _energy(
 
 
 class _TuneState:
-    """Per-process resolved tuning context (parent and pool workers)."""
+    """Resolved tuning context: app, cluster, enumerated space."""
 
     def __init__(self, spec: TuneSpec) -> None:
         from repro.apps import get_app
@@ -181,14 +169,13 @@ class _TuneState:
 
     def chunk_points(self) -> int:
         """Uniform chunk size: explicit, else budget-derived from the
-        first template's tape (chunking must not depend on workers)."""
+        first template's tape."""
         per = self.space.points_per_template
         if self.spec.chunk_points is not None:
             return min(self.spec.chunk_points, per)
         template = self.space.templates[0]
         tape = compile_tape(self.app.program(template.mapping))
-        derived = stream_chunk_points(
-            tape, self.spec.memory_budget_bytes, columns=True)
+        derived = stream_chunk_points(tape, self.spec.memory_budget_bytes)
         return min(derived, per)
 
     def tasks(self) -> list[tuple[int, int, int, int]]:
@@ -241,22 +228,6 @@ class _TuneState:
         base = (t_idx * len(space.pricing) + p_idx) * space.points_per_template
         ids = front + lo + base
         return hi - lo, ids, times[front], energies[front]
-
-
-class _TuneWorker:
-    """Pool handler: one resolved :class:`_TuneState` per process."""
-
-    def __init__(self, spec: TuneSpec) -> None:
-        self._state = _TuneState(spec)
-
-    def handle(
-        self, task: tuple[int, int, int, int]
-    ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        return self._state.price_task(task)
-
-
-def _tune_worker_factory(spec: TuneSpec) -> _TuneWorker:
-    return _TuneWorker(spec)
 
 
 def _baseline(state: _TuneState) -> tuple[str, dict[str, tuple[float, float]]]:
@@ -333,15 +304,8 @@ def _explanations(
     return tuple(lines)
 
 
-def tune(
-    spec: TuneSpec, *, workers: int = 0, explain_top: int = 3
-) -> TuneResult:
-    """Run one tuning sweep and return the exact Pareto frontier.
-
-    ``workers > 1`` shards tasks across a persistent pool once the cost
-    probe clears :func:`repro.harness.parallel.pool_min_seconds`; the
-    frontier is identical for any worker count.
-    """
+def tune(spec: TuneSpec, *, explain_top: int = 3) -> TuneResult:
+    """Run one tuning sweep and return the exact Pareto frontier."""
     t0 = perf_counter()
     state = _TuneState(spec)
     space = state.space
@@ -351,43 +315,16 @@ def tune(
             f"{spec.cluster!r}: "
             + "; ".join(e.reason for e in space.excluded[:4])
         )
-    tasks = state.tasks()
     n_priced = 0
     cand_ids: list[np.ndarray] = []
     cand_t: list[np.ndarray] = []
     cand_e: list[np.ndarray] = []
-
-    def collect(
-        reply: tuple[int, np.ndarray, np.ndarray, np.ndarray]
-    ) -> None:
-        nonlocal n_priced
-        n, ids, times, energies = reply
+    for task in state.tasks():
+        n, task_ids, task_times, task_energies = state.price_task(task)
         n_priced += n
-        cand_ids.append(ids)
-        cand_t.append(times)
-        cand_e.append(energies)
-
-    collect(state.price_task(tasks[0]))
-    probe_wall = perf_counter() - t0
-    rest = tasks[1:]
-    used_pool = False
-    if rest:
-        from repro.harness.parallel import pool_min_seconds
-
-        use_pool = (workers > 1
-                    and probe_wall * len(rest) >= pool_min_seconds())
-        if use_pool:
-            from repro.harness.procpool import PersistentPool
-
-            n_workers = max(2, min(workers, len(rest)))
-            with PersistentPool(_tune_worker_factory,
-                                [spec] * n_workers) as pool:
-                for reply in pool.imap(iter(rest)):
-                    collect(reply)
-            used_pool = True
-        else:
-            for task in rest:
-                collect(state.price_task(task))
+        cand_ids.append(task_ids)
+        cand_t.append(task_times)
+        cand_e.append(task_energies)
 
     ids = np.concatenate(cand_ids)
     times = np.concatenate(cand_t)
@@ -446,6 +383,4 @@ def tune(
         explanations=_explanations(state, points, explain_top),
         wall_seconds=wall,
         points_per_second=n_priced / wall if wall > 0 else float("inf"),
-        used_pool=used_pool,
-        workers=workers,
     )

@@ -11,11 +11,10 @@ groups left to right tracking the best energy seen at strictly smaller
 time.  A group survives iff its minimum energy beats that bound, and
 within a surviving group only the minimum-energy members survive.
 
-Chunked/parallel tuning relies on the standard merge property:
+Chunked tuning relies on the standard merge property:
 ``frontier(A ∪ B) ⊆ frontier(A) ∪ frontier(B)`` — a point dominated
 within its own chunk is dominated in the union — so per-chunk frontiers
-can be computed worker-side and merged exactly with one final pass,
-independent of chunking and worker count.
+merge exactly with one final pass, independent of chunking.
 """
 
 from __future__ import annotations

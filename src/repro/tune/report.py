@@ -61,8 +61,6 @@ class TuneResult:
     explanations: tuple[str, ...]
     wall_seconds: float
     points_per_second: float
-    used_pool: bool
-    workers: int
 
     def to_dict(self) -> dict[str, object]:
         """JSON-safe payload (stable key order, plain types only)."""
@@ -93,8 +91,7 @@ class TuneResult:
             f"  priced {self.n_points:,} points over {self.n_templates} "
             f"templates ({self.n_excluded} configs excluded) in "
             f"{self.wall_seconds:.1f} s "
-            f"({self.points_per_second:,.0f} pts/s"
-            + (", pooled)" if self.used_pool else ")"),
+            f"({self.points_per_second:,.0f} pts/s)",
         ]
         for name in self.pricing:
             points = self.frontiers[name]

@@ -52,6 +52,21 @@ class RankFailureError(SimulationError):
         self.kind = kind
 
 
+class WorkerDied(ReproError):
+    """A persistent worker process exited in the middle of a call.
+
+    ``worker`` is the pool index of the dead process and ``exitcode`` its
+    exit status (``None`` if it could not be collected).  The pool that
+    raises it has already shut down every other worker.
+    """
+
+    def __init__(self, message: str, *, worker: int,
+                 exitcode: int | None):
+        super().__init__(message)
+        self.worker = worker
+        self.exitcode = exitcode
+
+
 class ToolchainError(ReproError):
     """Base class for compiler/toolchain failures (paper Section V)."""
 

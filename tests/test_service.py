@@ -544,6 +544,35 @@ class TestHTTP:
         assert "compute_scale" in body["error"]
         assert "finite" in body["error"]
 
+    @pytest.mark.parametrize("payload", [
+        {"workload": "linpack", "cluster": "cte-arm", "n_nodes": 16,
+         "overrides": {"comm_scale": 1e308, "compute_scale": 1e308}},
+        {"workload": "nemo", "cluster": "cte-arm", "n_nodes": 16,
+         "overrides": {"rate_scale": 1e-308, "compute_scale": 1e308}},
+        {"workload": "hpcg", "cluster": "cte-arm", "n_nodes": 8,
+         "overrides": {"rate_scale": 1e-308, "compute_scale": 1e308}},
+    ], ids=["linpack16", "nemo16", "hpcg8"])
+    def test_overflowing_overrides_are_422_strict_json(self, server,
+                                                       payload):
+        """Finite overrides whose product overflows float64 must not
+        reach the wire as ``Infinity``."""
+        import urllib.error
+        import urllib.request
+
+        def strict(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        failed = server.service.failed
+        request = urllib.request.Request(
+            server.url + "/v1/price", data=json.dumps(payload).encode(),
+            headers={"Content-Type": "application/json"}, method="POST")
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request, timeout=10)
+        assert err.value.code == 422
+        body = json.loads(err.value.read(), parse_constant=strict)
+        assert "not finite" in body["error"]
+        assert server.service.failed == failed + 1
+
     def test_burst_without_retries_all_served(self, server):
         """Three bursts of 128 simultaneous single-shot clients: every
         connection is accepted and answered 200 with strict JSON."""

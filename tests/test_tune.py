@@ -177,16 +177,6 @@ class TestEngine:
         assert "repro.verify" in rendered
         json.dumps(result.to_dict())  # JSON-safe
 
-    def test_worker_count_invariance(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_MIN_SECONDS", "0")
-        spec = _small_spec(scenarios=2)
-        serial = tune(spec, workers=0)
-        pooled = tune(spec, workers=3)
-        assert pooled.used_pool
-        assert serial.frontier == pooled.frontier
-        assert serial.frontiers == pooled.frontiers
-        assert serial.n_points == pooled.n_points
-
     def test_explanations_cover_leading_points(self):
         result = tune(_small_spec(), explain_top=2)
         assert result.explanations
