@@ -47,6 +47,10 @@ if [ "$fast" -eq 0 ]; then
     if ! PYTHONPATH=src python -m pytest -x -q $cov_args; then
         status=1
     fi
+    echo "== perfbench's own tests =="
+    if ! python -m pytest perfbench/tests -q; then
+        status=1
+    fi
     echo "== IR round-trip smoke =="
     if ! PYTHONPATH=src python - <<'EOF'
 from repro.apps import get_app

@@ -12,10 +12,11 @@ batched substrate:
   that is a *pure function* of the request timestamps (the clock is
   injectable, so a seeded arrival schedule produces deterministic
   rejections);
-* :class:`AdmissionBatcher` — coalesces concurrent in-flight queries
-  into one stacked :meth:`~repro.ir.batch.BatchAnalyticBackend.run_batch`
-  tape pass on a single worker thread (which also confines the batch
-  layer's process-local caches to one thread);
+* :class:`AdmissionBatcher` — group commit: queries that arrive while
+  one stacked :meth:`~repro.ir.batch.BatchAnalyticBackend.run_batch`
+  tape pass runs are priced together in the next, on a single worker
+  thread (which also confines the batch layer's process-local caches
+  to one thread);
 * :class:`CapacityService` — validation, quota check, batching, and the
   canonical response encoding.  Responses are bit-identical to a direct
   ``run_batch`` call for the same point — the concurrency suite in
@@ -26,11 +27,12 @@ Everything is stdlib + the existing lab; see ``docs/SERVICE.md``.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping
+
+import numpy as np
 
 from repro.ir.backend import RunResult
 from repro.ir.batch import (
@@ -234,26 +236,26 @@ class AdmissionBatcher:
     """Coalesce concurrent queries into stacked ``run_batch`` passes.
 
     Submitting threads enqueue a :class:`BatchJob` and block; a single
-    daemon worker drains the queue — waiting ``window_s`` after the
-    first arrival so concurrent queries coalesce — and prices up to
-    ``max_batch`` jobs in one vectorized tape pass.  One worker thread
-    means the batch layer's process-local caches are only ever touched
-    from one thread.
+    daemon worker prices whatever is queued when a pass starts, up to
+    ``max_batch`` jobs, in one vectorized tape pass.  Queries that
+    arrive during a pass wait in the queue and share the next one
+    (group commit), so an idle server answers at once and a busy one
+    batches.  One worker thread means the batch layer's process-local
+    caches are only ever touched from one thread.
 
+    Passes run under ``np.errstate(over="raise")``: a float64 overflow
+    surfaces as :class:`FloatingPointError` for the offending query.
     Per-job faults are isolated: if a stacked pass raises, the batch is
     re-run job-by-job so only the offending query observes the error.
     """
 
     def __init__(self, backend: BatchAnalyticBackend | None = None, *,
-                 max_batch: int = 64, window_s: float = 0.002) -> None:
+                 max_batch: int = 64) -> None:
         if max_batch < 1:
             raise ConfigurationError("max_batch must be >= 1")
-        if window_s < 0:
-            raise ConfigurationError("window_s must be >= 0")
         self.backend = backend if backend is not None \
             else BatchAnalyticBackend()
         self.max_batch = max_batch
-        self.window_s = window_s
         self._queue: list[_Pending] = []
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
@@ -302,14 +304,11 @@ class AdmissionBatcher:
             with self._wake:
                 while not self._queue and not self._closed:
                     self._wake.wait()
-                if not self._queue and self._closed:
+                if not self._queue:
                     return
-            if self.window_s > 0:
-                time.sleep(self.window_s)  # let concurrent queries coalesce
-            with self._wake:
                 batch = self._queue[: self.max_batch]
                 del self._queue[: self.max_batch]
-            if batch:
+            with np.errstate(over="raise"):
                 self._price(batch)
 
     def _price(self, batch: list[_Pending]) -> None:
@@ -345,7 +344,6 @@ class ServiceConfig:
 
     quota_rate: float = 50.0       # tokens/second per client
     quota_burst: float = 20.0      # bucket capacity per client
-    window_s: float = 0.002        # admission coalescing window
     max_batch: int = 64            # stacked jobs per tape pass
     tape_budget_bytes: int | None = None  # warm-tape memory budget
     queue_timeout_s: float = 60.0  # per-query wait bound
@@ -353,8 +351,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.quota_rate <= 0 or self.quota_burst <= 0:
             raise ConfigurationError("quota rate and burst must be positive")
-        if self.window_s < 0:
-            raise ConfigurationError("window_s must be >= 0")
         if self.max_batch < 1:
             raise ConfigurationError("max_batch must be >= 1")
         if self.tape_budget_bytes is not None and self.tape_budget_bytes < 1:
@@ -380,8 +376,7 @@ class CapacityService:
         if self.config.tape_budget_bytes is not None:
             set_tape_budget(self.config.tape_budget_bytes)
         self.batcher = AdmissionBatcher(
-            backend, max_batch=self.config.max_batch,
-            window_s=self.config.window_s)
+            backend, max_batch=self.config.max_batch)
         self.quotas = QuotaRegistry(self.config.quota_rate,
                                     self.config.quota_burst)
         self._clusters: dict[str, ClusterModel] = {}
@@ -473,6 +468,13 @@ class CapacityService:
         except ToolchainError as exc:
             self.failed += 1
             raise ServiceError(422, str(exc)) from exc
+        except FloatingPointError as exc:
+            # finite overrides can still overflow float64 in product
+            # (the batcher prices under np.errstate(over="raise"))
+            self.failed += 1
+            raise ServiceError(
+                422, "priced values are not finite: the overrides "
+                "overflow float64") from exc
         except (ConfigurationError, OutOfMemoryError) as exc:
             self.failed += 1
             raise ServiceError(422, str(exc)) from exc
@@ -483,18 +485,7 @@ class CapacityService:
             self.failed += 1
             raise ServiceError(422, str(exc.args[0]) if exc.args
                                else str(exc)) from exc
-        body = encode_result(query, result)
-        values = [body["elapsed_seconds"], body["seconds_per_step"]]
-        for key in ("phase_seconds", "phase_compute", "phase_comm"):
-            values.extend(body[key].values())
-        if not all(math.isfinite(v) for v in values):
-            # Finite overrides can still overflow float64 in product;
-            # the response must stay strict JSON.
-            self.failed += 1
-            raise ServiceError(
-                422, "priced time is not finite: the overrides overflow "
-                "float64")
-        return body
+        return encode_result(query, result)
 
     def handle(self, payload: Mapping[str, Any], *,
                now: float | None = None) -> tuple[int, dict[str, Any]]:

@@ -33,6 +33,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "_Server"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: _reply writes headers and body separately, and with
+    # Nagle on the client's delayed ACK holds the body back ~40 ms
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args: Any) -> None:
         if self.server.verbose:  # quiet by default (tests, loadtests)

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 import threading
+import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -46,8 +48,8 @@ from repro.util.errors import ConfigurationError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-#: fast service knobs for tests: generous quota, wide coalescing window.
-_FAST = ServiceConfig(quota_rate=1e6, quota_burst=1e6, window_s=0.02)
+#: fast service knobs for tests: generous quota.
+_FAST = ServiceConfig(quota_rate=1e6, quota_burst=1e6)
 
 
 def _mixed_queries() -> list[Query]:
@@ -198,6 +200,64 @@ def _hammer(n_threads: int, worker) -> list:
     return outputs
 
 
+class _GatedBackend:
+    """A batch backend whose first ``run_batch`` blocks until
+    :attr:`release` is set, so every job submitted meanwhile is queued
+    for the passes after it; :attr:`passes` records each pass's size."""
+
+    def __init__(self) -> None:
+        self.inner = BatchAnalyticBackend()
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.passes: list[int] = []
+
+    def run_batch(self, jobs):
+        self.passes.append(len(jobs))
+        if len(self.passes) == 1:
+            self.entered.set()
+            assert self.release.wait(30), "gate never released"
+        return self.inner.run_batch(jobs)
+
+
+def _tiny_program(name: str) -> Program:
+    return Program(name=name, steps=1,
+                   body=(Phase("p", (ComputeOp(seconds=1e-6),)),))
+
+
+def _submit_async(batcher: AdmissionBatcher, job: BatchJob) -> dict:
+    """Submit ``job`` on a new thread; the returned dict receives
+    ``result`` or ``error`` and the ``thread`` to join."""
+    out: dict = {}
+
+    def run() -> None:
+        try:
+            out["result"] = batcher.submit(job)
+        except Exception as exc:  # noqa: BLE001 — asserted by the caller
+            out["error"] = exc
+
+    out["thread"] = threading.Thread(target=run)
+    out["thread"].start()
+    return out
+
+
+def _plug(batcher: AdmissionBatcher, gate: _GatedBackend) -> dict:
+    """Occupy the batcher's worker in the gated first pass."""
+    plug = _submit_async(batcher, BatchJob(_tiny_program("svc-plug"),
+                                           cte_arm(4), 1))
+    assert gate.entered.wait(10), "first pass never started"
+    return plug
+
+
+def _wait_queued(batcher: AdmissionBatcher, n: int) -> None:
+    """Block until ``n`` jobs wait in the batcher's queue."""
+    for _ in range(10_000):
+        with batcher._lock:
+            if len(batcher._queue) >= n:
+                return
+        time.sleep(0.001)
+    raise AssertionError(f"{n} jobs never queued")
+
+
 class TestAdmissionBatcher:
     def test_concurrent_results_bit_identical_to_serial(self):
         queries = _mixed_queries()
@@ -234,12 +294,17 @@ class TestAdmissionBatcher:
 
     def test_no_drop_no_double_answer_under_races(self):
         cluster = cte_arm(16)
-        program = Program(
-            name="svc-race", steps=1,
-            body=(Phase("p", (ComputeOp(seconds=1e-6),)),))
-        batcher = AdmissionBatcher(window_s=0.005)
+        program = _tiny_program("svc-race")
+        gate = _GatedBackend()
+        batcher = AdmissionBatcher(gate)
         try:
             n_threads, per_thread = 12, 8
+            plug = _plug(batcher, gate)
+            # open the gate once every thread's first job is queued, so
+            # the second pass is certain to mix all twelve threads
+            releaser = threading.Thread(target=lambda: (
+                _wait_queued(batcher, n_threads), gate.release.set()))
+            releaser.start()
             seen = []
             lock = threading.Lock()
             def worker(i: int):
@@ -249,34 +314,71 @@ class TestAdmissionBatcher:
                     with lock:
                         seen.append((i, k, result))
             _hammer(n_threads, worker)
+            releaser.join(timeout=10)
+            plug["thread"].join(timeout=10)
+            assert "result" in plug
+            assert gate.passes[1] == n_threads
             assert len(seen) == n_threads * per_thread
             assert len({(i, k) for i, k, _ in seen}) == len(seen)
-            assert batcher.queries == n_threads * per_thread
+            assert batcher.queries == n_threads * per_thread + 1
             assert all(r.elapsed > 0 for _, _, r in seen)
         finally:
+            gate.release.set()
+            batcher.close()
+
+    def test_group_commit_prices_queued_jobs_in_one_pass(self):
+        """Jobs that arrive during a pass are priced together in the
+        next one, capped at ``max_batch``."""
+        cluster = cte_arm(8)
+        program = _tiny_program("svc-group")
+        gate = _GatedBackend()
+        batcher = AdmissionBatcher(gate, max_batch=4)
+        try:
+            plug = _plug(batcher, gate)
+            waiting = []
+            for n in range(1, 7):
+                waiting.append(_submit_async(
+                    batcher, BatchJob(program, cluster, n)))
+                _wait_queued(batcher, n)
+            gate.release.set()
+            for out in [plug, *waiting]:
+                out["thread"].join(timeout=10)
+            assert gate.passes == [1, 4, 2]
+            assert batcher.batches == 3 and batcher.largest_batch == 4
+            direct = BatchAnalyticBackend().run_batch(
+                [BatchJob(program, cluster, n) for n in range(1, 7)])
+            assert [o["result"].elapsed for o in waiting] == \
+                [r.elapsed for r in direct]
+        finally:
+            gate.release.set()
             batcher.close()
 
     def test_faulty_job_is_isolated_from_its_batch(self):
         cluster = cte_arm(8)
-        program = Program(
-            name="svc-isolate", steps=1,
-            body=(Phase("p", (ComputeOp(seconds=1e-6),)),))
+        program = _tiny_program("svc-isolate")
         good = BatchJob(program, cluster, 2)
         bad = BatchJob(program, cluster, 2, overrides={"bogus": 2.0})
-        batcher = AdmissionBatcher(window_s=0.05)
+        gate = _GatedBackend()
+        batcher = AdmissionBatcher(gate)
         try:
-            def worker(i: int):
-                if i == 0:
-                    with pytest.raises(ConfigurationError):
-                        batcher.submit(bad)
-                    return "bad"
-                return batcher.submit(good)
-            outputs = _hammer(6, worker)
-            assert outputs.count("bad") == 1
-            results = [o for o in outputs if o != "bad"]
-            assert len(results) == 5
+            plug = _plug(batcher, gate)
+            waiting = []
+            for n, job in enumerate([good, good, bad, good, good, good], 1):
+                waiting.append(_submit_async(batcher, job))
+                _wait_queued(batcher, n)
+            gate.release.set()
+            for out in [plug, *waiting]:
+                out["thread"].join(timeout=10)
+            # one mixed pass of six raises, then each job is re-priced
+            assert gate.passes == [1, 6, 1, 1, 1, 1, 1, 1]
+            errors = [out.get("error") for out in waiting]
+            assert isinstance(errors[2], ConfigurationError)
+            assert errors[:2] + errors[3:] == [None] * 5
+            results = [out["result"] for i, out in enumerate(waiting)
+                       if i != 2]
             assert len({r.elapsed for r in results}) == 1
         finally:
+            gate.release.set()
             batcher.close()
 
     def test_submit_after_close_is_503(self):
@@ -291,13 +393,10 @@ class TestAdmissionBatcher:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             AdmissionBatcher(max_batch=0)
-        with pytest.raises(ConfigurationError):
-            AdmissionBatcher(window_s=-1.0)
 
     @pytest.mark.parametrize("kwargs", [
         {"quota_rate": 0.0},
         {"quota_burst": -1.0},
-        {"window_s": -0.001},
         {"max_batch": 0},
         {"tape_budget_bytes": -1},
         {"queue_timeout_s": 0.0},
@@ -336,8 +435,7 @@ class TestServiceConcurrency:
 
 class TestQuotaDeterminism:
     def _statuses(self, schedule) -> list[int]:
-        config = ServiceConfig(quota_rate=20.0, quota_burst=5.0,
-                               window_s=0.0)
+        config = ServiceConfig(quota_rate=20.0, quota_burst=5.0)
         with CapacityService(config) as svc:
             return [
                 svc.handle(a.scenario.query(a.client).to_request(),
@@ -359,8 +457,7 @@ class TestQuotaDeterminism:
         assert first.count(200) > 0
 
     def test_retry_after_is_positive(self):
-        config = ServiceConfig(quota_rate=1.0, quota_burst=1.0,
-                               window_s=0.0)
+        config = ServiceConfig(quota_rate=1.0, quota_burst=1.0)
         with CapacityService(config) as svc:
             request = {"workload": "stream", "n_nodes": 1, "client": "c"}
             assert svc.handle(request, now=0.0)[0] == 200
@@ -472,8 +569,7 @@ class TestHTTP:
     def server(self):
         from repro.service import ServiceServer
 
-        config = ServiceConfig(quota_rate=1e6, quota_burst=1e6,
-                               window_s=0.001)
+        config = ServiceConfig(quota_rate=1e6, quota_burst=1e6)
         with ServiceServer(CapacityService(config)) as srv:
             yield srv
 
@@ -573,6 +669,52 @@ class TestHTTP:
         assert "not finite" in body["error"]
         assert server.service.failed == failed + 1
 
+    @pytest.mark.parametrize("overrides", [
+        {"comm_scale": 1e308, "compute_scale": 1e308},
+        {"bandwidth_scale": 1e308},
+    ], ids=["product", "bandwidth"])
+    def test_overflow_is_422_without_runtime_warning(self, overrides):
+        """Pricing runs under ``np.errstate(over="raise")``: an overflow
+        anywhere in the pass is a 422, never a numpy RuntimeWarning on
+        the server's stderr."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with CapacityService(_FAST) as svc:
+                status, body = svc.handle({
+                    "workload": "linpack", "n_nodes": 16,
+                    "overrides": overrides})
+                assert svc.failed == 1
+        assert status == 422 and "not finite" in body["error"]
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+
+    def test_keep_alive_requests_do_not_stall(self, server):
+        """Twenty sequential POSTs on one keep-alive connection: with
+        Nagle on, the client's delayed ACK held each response body back
+        ~40 ms."""
+        import http.client
+
+        body = json.dumps(Query("stream", "cte-arm", 1).to_request())
+        headers = {"Content-Type": "application/json"}
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=10)
+
+        def post() -> None:
+            conn.request("POST", "/v1/price", body=body, headers=headers)
+            resp = conn.getresponse()
+            assert resp.status == 200
+            json.loads(resp.read())
+
+        try:
+            post()  # connect and compile the tape outside the clock
+            start = time.perf_counter()
+            for _ in range(20):
+                post()
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.5, f"20 keep-alive requests took {elapsed:.3f} s"
+
     def test_burst_without_retries_all_served(self, server):
         """Three bursts of 128 simultaneous single-shot clients: every
         connection is accepted and answered 200 with strict JSON."""
@@ -629,8 +771,7 @@ class TestHTTP:
     def test_client_header_feeds_quota(self):
         from repro.service import ServiceServer
 
-        config = ServiceConfig(quota_rate=0.001, quota_burst=1.0,
-                               window_s=0.0)
+        config = ServiceConfig(quota_rate=0.001, quota_burst=1.0)
         with ServiceServer(CapacityService(config)) as srv:
             ok = self._post(srv, {"workload": "stream"},
                             headers={"X-Client-Id": "h1"})
